@@ -40,7 +40,7 @@ use vq_llm::{
     ProfileConfig, RejectReason, ServeConfig, Session, SharedContext, SupervisorConfig, TicketEnd,
     VqAlgorithm,
 };
-use vqllm_bench::Report;
+use vqllm_bench::{BenchRecord, Report};
 
 const SEQ: usize = 256;
 const HEAD_DIM: usize = 32;
@@ -484,35 +484,6 @@ fn scenario_driver_kill(report: &mut Report, gates: &mut Gates, totals: &mut Tot
     );
 }
 
-/// Upserts `key` in a top-level JSON object.
-fn set(fields: &mut Vec<(String, Json)>, key: &str, v: Json) {
-    match fields.iter_mut().find(|(k, _)| k == key) {
-        Some(slot) => slot.1 = v,
-        None => fields.push((key.to_string(), v)),
-    }
-}
-
-fn num(n: f64) -> Json {
-    Json::Num((n * 10.0).round() / 10.0)
-}
-
-/// One key per line — the same human-diffable shape `serve_bench` writes.
-fn render_pretty(fields: &[(String, Json)]) -> String {
-    let mut s = String::from("{\n");
-    for (i, (k, v)) in fields.iter().enumerate() {
-        s.push_str("  ");
-        json::push_escaped(k, &mut s);
-        s.push_str(": ");
-        s.push_str(&json::to_string(v));
-        if i + 1 < fields.len() {
-            s.push(',');
-        }
-        s.push('\n');
-    }
-    s.push_str("}\n");
-    s
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (storm, post) = if smoke { (3, 3) } else { (8, 6) };
@@ -542,35 +513,13 @@ fn main() {
 
     // Merge the chaos_* keys into BENCH_serving.json, preserving
     // whatever serve_bench / net_load last wrote there.
-    let mut json_path = vqllm_bench::results_dir();
-    json_path.pop();
-    json_path.push("BENCH_serving.json");
-    let mut fields = match std::fs::read_to_string(&json_path)
-        .ok()
-        .and_then(|s| json::parse(&s).ok())
-    {
-        Some(Json::Obj(fields)) => fields,
-        _ => Vec::new(),
-    };
-    set(&mut fields, "chaos_restarts", num(totals.restarts as f64));
-    set(
-        &mut fields,
-        "chaos_quarantined",
-        num(totals.quarantined as f64),
-    );
-    set(
-        &mut fields,
-        "chaos_watchdog_sheds",
-        num(totals.watchdog_sheds as f64),
-    );
-    set(
-        &mut fields,
-        "chaos_healthy_requests",
-        num(totals.healthy_completed as f64),
-    );
-    set(&mut fields, "chaos_healthy_p99_us", num(p99_us));
-    let rendered = render_pretty(&fields);
-    std::fs::write(&json_path, &rendered).expect("write BENCH_serving.json");
+    let mut record = BenchRecord::serving();
+    record.set_num("chaos_restarts", totals.restarts as f64, 1);
+    record.set_num("chaos_quarantined", totals.quarantined as f64, 1);
+    record.set_num("chaos_watchdog_sheds", totals.watchdog_sheds as f64, 1);
+    record.set_num("chaos_healthy_requests", totals.healthy_completed as f64, 1);
+    record.set_num("chaos_healthy_p99_us", p99_us, 1);
+    let rendered = record.save().expect("write BENCH_serving.json");
     report.section("BENCH_serving.json (chaos_* keys merged)");
     report.line(rendered.trim_end());
     report.finish();

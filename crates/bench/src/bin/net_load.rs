@@ -45,7 +45,7 @@ use vq_llm::tensor::synth;
 use vq_llm::{
     AdmissionConfig, Engine, ProfileConfig, ServeConfig, Session, SharedContext, VqAlgorithm,
 };
-use vqllm_bench::Report;
+use vqllm_bench::{BenchRecord, Report};
 
 const SEQ: usize = 256;
 const HEAD_DIM: usize = 32;
@@ -346,35 +346,6 @@ fn disconnects(m: &vq_llm::net::MetricsSnapshot, code: &str) -> u64 {
         .map_or(0, |&(_, n)| n)
 }
 
-/// Upserts `key` in a top-level JSON object.
-fn set(fields: &mut Vec<(String, Json)>, key: &str, v: Json) {
-    match fields.iter_mut().find(|(k, _)| k == key) {
-        Some(slot) => slot.1 = v,
-        None => fields.push((key.to_string(), v)),
-    }
-}
-
-fn num(n: f64) -> Json {
-    Json::Num((n * 10.0).round() / 10.0)
-}
-
-/// One key per line — the same human-diffable shape `serve_bench` writes.
-fn render_pretty(fields: &[(String, Json)]) -> String {
-    let mut s = String::from("{\n");
-    for (i, (k, v)) in fields.iter().enumerate() {
-        s.push_str("  ");
-        json::push_escaped(k, &mut s);
-        s.push_str(": ");
-        s.push_str(&json::to_string(v));
-        if i + 1 < fields.len() {
-            s.push(',');
-        }
-        s.push('\n');
-    }
-    s.push_str("}\n");
-    s
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let mix = if smoke {
@@ -567,65 +538,23 @@ fn main() {
 
     // Merge the net_load_* keys into BENCH_serving.json, preserving
     // whatever serve_bench last wrote there.
-    let mut json_path = vqllm_bench::results_dir();
-    json_path.pop();
-    json_path.push("BENCH_serving.json");
-    let mut fields = match std::fs::read_to_string(&json_path)
-        .ok()
-        .and_then(|s| json::parse(&s).ok())
-    {
-        Some(Json::Obj(fields)) => fields,
-        _ => Vec::new(),
-    };
-    set(&mut fields, "net_load_connections", num(conns as f64));
-    set(
-        &mut fields,
-        "net_load_requests",
-        num(mix.healthy_requests() as f64),
-    );
-    set(&mut fields, "net_load_completed", num(completed as f64));
-    set(&mut fields, "net_load_p50_us", num(p50_us));
-    set(&mut fields, "net_load_p99_us", num(p99_us));
-    set(&mut fields, "net_load_mean_us", num(mean_us));
-    set(&mut fields, "net_load_max_us", num(max_us));
-    set(
-        &mut fields,
-        "net_load_writer_queue_peak",
-        num(m.writer_queue_peak as f64),
-    );
-    set(
-        &mut fields,
-        "net_load_writer_queue_cap",
-        num(WRITER_QUEUE_CAP as f64),
-    );
-    set(
-        &mut fields,
-        "net_load_slow_reader_evictions",
-        num(slow_evictions as f64),
-    );
-    set(
-        &mut fields,
-        "net_load_eof_disconnects",
-        num(disconnects(&m, "eof") as f64),
-    );
-    set(
-        &mut fields,
-        "net_load_drain_completed",
-        num(drain_report.completed as f64),
-    );
-    set(
-        &mut fields,
-        "net_load_drain_cancelled",
-        num(drain_report.cancelled as f64),
-    );
-    set(&mut fields, "net_load_elapsed_s", num(elapsed_s));
-    set(
-        &mut fields,
-        "net_load_decoded_tokens",
-        num(m.decoded_tokens as f64),
-    );
-    let rendered = render_pretty(&fields);
-    std::fs::write(&json_path, &rendered).expect("write BENCH_serving.json");
+    let mut record = BenchRecord::serving();
+    record.set_num("net_load_connections", conns as f64, 1);
+    record.set_num("net_load_requests", mix.healthy_requests() as f64, 1);
+    record.set_num("net_load_completed", completed as f64, 1);
+    record.set_num("net_load_p50_us", p50_us, 1);
+    record.set_num("net_load_p99_us", p99_us, 1);
+    record.set_num("net_load_mean_us", mean_us, 1);
+    record.set_num("net_load_max_us", max_us, 1);
+    record.set_num("net_load_writer_queue_peak", m.writer_queue_peak as f64, 1);
+    record.set_num("net_load_writer_queue_cap", WRITER_QUEUE_CAP as f64, 1);
+    record.set_num("net_load_slow_reader_evictions", slow_evictions as f64, 1);
+    record.set_num("net_load_eof_disconnects", disconnects(&m, "eof") as f64, 1);
+    record.set_num("net_load_drain_completed", drain_report.completed as f64, 1);
+    record.set_num("net_load_drain_cancelled", drain_report.cancelled as f64, 1);
+    record.set_num("net_load_elapsed_s", elapsed_s, 1);
+    record.set_num("net_load_decoded_tokens", m.decoded_tokens as f64, 1);
+    let rendered = record.save().expect("write BENCH_serving.json");
     report.section("BENCH_serving.json (net_load_* keys merged)");
     report.line(rendered.trim_end());
     report.finish();

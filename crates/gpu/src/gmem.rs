@@ -7,6 +7,7 @@
 //! a 12.45 % L1 hit rate and wastes most of each line it pulls.
 
 use crate::device::GpuSpec;
+use crate::warp::WARP_SIZE;
 
 /// Model of global-memory access granularity.
 #[derive(Debug, Clone)]
@@ -51,32 +52,46 @@ impl GlobalMemoryModel {
     }
 
     /// Simulates one warp access: each active lane touches `elem_bytes`
-    /// bytes at its byte address.
+    /// bytes at its byte address (`None` = inactive lane; at most
+    /// [`WARP_SIZE`] lanes).
+    ///
+    /// Allocation-free: each lane covers one run of lines, and the
+    /// transactions are the lines in the union of those runs, counted by
+    /// sorting the runs on a stack array.
     pub fn warp_access(&self, addrs: &[Option<usize>], elem_bytes: usize) -> GmemAccess {
         assert!(elem_bytes > 0);
-        let mut lines: Vec<usize> = Vec::with_capacity(32);
-        let mut useful = 0usize;
+        assert!(
+            addrs.len() <= WARP_SIZE,
+            "a warp has at most {WARP_SIZE} lanes"
+        );
+        let mut runs = [(0usize, 0usize); WARP_SIZE];
+        let mut n = 0;
         for addr in addrs.iter().flatten() {
-            useful += elem_bytes;
-            let first = addr / self.line;
-            let last = (addr + elem_bytes - 1) / self.line;
-            for l in first..=last {
-                if !lines.contains(&l) {
-                    lines.push(l);
-                }
+            runs[n] = (addr / self.line, (addr + elem_bytes - 1) / self.line);
+            n += 1;
+        }
+        let runs = &mut runs[..n];
+        runs.sort_unstable();
+        let mut lines = 0usize;
+        // One past the highest line counted so far.
+        let mut covered = 0usize;
+        for &(first, last) in runs.iter() {
+            let start = first.max(covered);
+            if last >= start {
+                lines += last - start + 1;
+                covered = last + 1;
             }
         }
         GmemAccess {
-            transactions: lines.len(),
-            dram_bytes: lines.len() * self.line,
-            useful_bytes: useful,
+            transactions: lines,
+            dram_bytes: lines * self.line,
+            useful_bytes: n * elem_bytes,
         }
     }
 
     /// Convenience: all 32 lanes active.
     pub fn warp_access_full(&self, addrs: &[usize; 32], elem_bytes: usize) -> GmemAccess {
-        let opt: Vec<Option<usize>> = addrs.iter().map(|&a| Some(a)).collect();
-        self.warp_access(&opt, elem_bytes)
+        self.warp_access(&addrs.map(Some), elem_bytes)
     }
 
     /// Transactions for a perfectly-contiguous block copy of `bytes`
@@ -138,9 +153,59 @@ impl GlobalMemoryModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn model() -> GlobalMemoryModel {
         GlobalMemoryModel::with_line(128)
+    }
+
+    /// The original allocating replay (a `Vec` of distinct lines), kept
+    /// as the oracle for the run-union implementation.
+    fn warp_access_oracle(
+        m: &GlobalMemoryModel,
+        addrs: &[Option<usize>],
+        elem_bytes: usize,
+    ) -> GmemAccess {
+        let mut lines: Vec<usize> = Vec::with_capacity(32);
+        let mut useful = 0usize;
+        for addr in addrs.iter().flatten() {
+            useful += elem_bytes;
+            let first = addr / m.line;
+            let last = (addr + elem_bytes - 1) / m.line;
+            for l in first..=last {
+                if !lines.contains(&l) {
+                    lines.push(l);
+                }
+            }
+        }
+        GmemAccess {
+            transactions: lines.len(),
+            dram_bytes: lines.len() * m.line,
+            useful_bytes: useful,
+        }
+    }
+
+    proptest! {
+        /// The run-union count is bit-for-bit the allocating distinct-line
+        /// count over lane masks, clustered and scattered addresses,
+        /// elements narrower and wider than a line, and line sizes.
+        #[test]
+        fn warp_access_matches_allocating_oracle(
+            lanes in prop::collection::vec((any::<bool>(), 0usize..4096), 0..33),
+            spread in prop::sample::select(vec![1usize, 8, 100, 4096]),
+            elem_bytes in 1usize..600,
+            line in prop::sample::select(vec![16usize, 32, 64, 128, 256]),
+        ) {
+            let addrs: Vec<Option<usize>> = lanes
+                .iter()
+                .map(|&(on, a)| on.then_some(a * spread))
+                .collect();
+            let m = GlobalMemoryModel::with_line(line);
+            prop_assert_eq!(
+                m.warp_access(&addrs, elem_bytes),
+                warp_access_oracle(&m, &addrs, elem_bytes)
+            );
+        }
     }
 
     #[test]

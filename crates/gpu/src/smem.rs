@@ -14,6 +14,7 @@
 //! the paper's "bank conflict" counter reports.
 
 use crate::device::GpuSpec;
+use crate::warp::WARP_SIZE;
 
 /// Model of one SM's shared memory banking.
 #[derive(Debug, Clone)]
@@ -50,33 +51,53 @@ impl SharedMemoryModel {
 
     /// Simulates one warp access where each active lane reads/writes
     /// `elem_bytes` bytes starting at its byte address in `addrs`
-    /// (`None` = inactive lane).
+    /// (`None` = inactive lane; at most [`WARP_SIZE`] lanes).
     ///
     /// Accesses wider than one bank word are issued as consecutive word
     /// accesses (this is how a `float4`/multi-word entry fetch behaves and
     /// is what makes large VQ entries conflict-prone).
+    ///
+    /// Allocation-free: the replay runs on fixed-size stack arrays, since
+    /// the perf model calls it for every sampled warp of every estimate.
     pub fn warp_access(&self, addrs: &[Option<usize>], elem_bytes: usize) -> WarpAccess {
         assert!(elem_bytes > 0, "element size must be positive");
+        assert!(
+            addrs.len() <= WARP_SIZE,
+            "a warp has at most {WARP_SIZE} lanes"
+        );
         let words_per_elem = elem_bytes.div_ceil(self.bank_width);
         let mut total_cycles = 0usize;
         let mut bytes = 0usize;
+        let mut words = [0usize; WARP_SIZE];
+        let mut banks = [0usize; WARP_SIZE];
 
         // Each word-offset within the element is a separate warp transaction.
         for w in 0..words_per_elem {
-            // bank -> set of distinct word indices requested this transaction
-            let mut per_bank: Vec<Vec<usize>> = vec![Vec::new(); self.banks];
-            let mut any = false;
+            // The distinct words requested this transaction.
+            let mut n = 0;
             for addr in addrs.iter().flatten() {
                 let word = addr / self.bank_width + w;
-                let bank = word % self.banks;
-                if !per_bank[bank].contains(&word) {
-                    per_bank[bank].push(word);
+                if !words[..n].contains(&word) {
+                    words[n] = word;
+                    n += 1;
                 }
-                any = true;
                 bytes += self.bank_width.min(elem_bytes - w * self.bank_width);
             }
-            if any {
-                let cycles = per_bank.iter().map(Vec::len).max().unwrap_or(0).max(1);
+            if n > 0 {
+                // The transaction serializes into as many cycles as the
+                // busiest bank has distinct words: the longest run of
+                // equal banks once sorted.
+                for (bank, word) in banks.iter_mut().zip(&words[..n]) {
+                    *bank = word % self.banks;
+                }
+                let banks = &mut banks[..n];
+                banks.sort_unstable();
+                let mut cycles = 1;
+                let mut run = 1;
+                for pair in banks.windows(2) {
+                    run = if pair[0] == pair[1] { run + 1 } else { 1 };
+                    cycles = cycles.max(run);
+                }
                 total_cycles += cycles;
             }
         }
@@ -91,8 +112,7 @@ impl SharedMemoryModel {
 
     /// Convenience: all 32 lanes active.
     pub fn warp_access_full(&self, addrs: &[usize; 32], elem_bytes: usize) -> WarpAccess {
-        let opt: Vec<Option<usize>> = addrs.iter().map(|&a| Some(a)).collect();
-        self.warp_access(&opt, elem_bytes)
+        self.warp_access(&addrs.map(Some), elem_bytes)
     }
 
     /// Number of banks in the model.
@@ -104,9 +124,68 @@ impl SharedMemoryModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn model() -> SharedMemoryModel {
         SharedMemoryModel::with_banks(32, 4)
+    }
+
+    /// The original allocating replay (a `Vec` of word lists per bank),
+    /// kept as the oracle for the stack-array implementation.
+    fn warp_access_oracle(
+        m: &SharedMemoryModel,
+        addrs: &[Option<usize>],
+        elem_bytes: usize,
+    ) -> WarpAccess {
+        let words_per_elem = elem_bytes.div_ceil(m.bank_width);
+        let mut total_cycles = 0usize;
+        let mut bytes = 0usize;
+        for w in 0..words_per_elem {
+            let mut per_bank: Vec<Vec<usize>> = vec![Vec::new(); m.banks];
+            let mut any = false;
+            for addr in addrs.iter().flatten() {
+                let word = addr / m.bank_width + w;
+                let bank = word % m.banks;
+                if !per_bank[bank].contains(&word) {
+                    per_bank[bank].push(word);
+                }
+                any = true;
+                bytes += m.bank_width.min(elem_bytes - w * m.bank_width);
+            }
+            if any {
+                let cycles = per_bank.iter().map(Vec::len).max().unwrap_or(0).max(1);
+                total_cycles += cycles;
+            }
+        }
+        WarpAccess {
+            cycles: total_cycles,
+            conflict_cycles: total_cycles.saturating_sub(words_per_elem),
+            bytes,
+        }
+    }
+
+    proptest! {
+        /// The stack-array replay is bit-for-bit the allocating one over
+        /// lane masks, clustered and scattered addresses, element sizes
+        /// that do and do not divide the bank word, and bank geometries.
+        #[test]
+        fn warp_access_matches_allocating_oracle(
+            lanes in prop::collection::vec((any::<bool>(), 0usize..4096), 0..33),
+            spread in prop::sample::select(vec![1usize, 8, 64, 4096]),
+            elem_bytes in 1usize..40,
+            banks in prop::sample::select(vec![1usize, 2, 7, 16, 32, 64]),
+            bank_width in prop::sample::select(vec![1usize, 2, 4, 8]),
+        ) {
+            let addrs: Vec<Option<usize>> = lanes
+                .iter()
+                .map(|&(on, a)| on.then_some(a * spread))
+                .collect();
+            let m = SharedMemoryModel::with_banks(banks, bank_width);
+            prop_assert_eq!(
+                m.warp_access(&addrs, elem_bytes),
+                warp_access_oracle(&m, &addrs, elem_bytes)
+            );
+        }
     }
 
     #[test]

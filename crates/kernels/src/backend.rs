@@ -19,8 +19,11 @@
 //! pipeline and the facade share one seam; a real-GPU (CUDA/HIP) backend
 //! plugs in here later without touching any consumer.
 
+use crate::host_exec::pool::lock_recover;
 use crate::host_exec::{self, HostBlocking};
 use crate::{vq_kernel, AccessProfile, KernelOutput, Result};
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex};
 use vqllm_core::plan_cache::PlanRequest;
 use vqllm_core::{ComputeOp, KernelPlan, KernelPlanner, OptLevel, ProfileSummary};
 use vqllm_gpu::GpuSpec;
@@ -471,13 +474,93 @@ impl Backend for PerfModelBackend {
 /// stay cache-resident, SIMD-tiered inner loops, and optional
 /// row/column parallelism on the shared persistent worker pool.
 ///
-/// The [`KernelOutput`] returned alongside real results still carries the
-/// *modelled* GPU counters for the plan (so perf-model and CPU runs stay
-/// comparable in reports); wall-clock measurement is the bench harness's
-/// job (`host_speedup`).
-#[derive(Debug, Clone, Copy)]
+/// The [`KernelOutput`] returned alongside real results is the *modelled*
+/// GPU report for the plan (so perf-model and CPU runs stay comparable in
+/// reports), computed **once per plan**: the first `run_*` call for a
+/// `(GpuSpec, KernelPlan, VqConfig)` runs the analytic model and stores
+/// the report in a small table shared by every clone of this backend;
+/// later calls return the stored report, so the serving hot path pays for
+/// the kernel only. Wall-clock measurement is the bench harness's job
+/// (`host_speedup`, `serve_bench`).
+#[derive(Debug, Clone)]
 pub struct CpuBackend {
     threads: usize,
+    reports: Arc<ReportTable>,
+}
+
+/// How many modelled reports one [`CpuBackend`] (with its clones) keeps.
+/// A serving engine holds two plans per context plus a few replans, so
+/// this covers dozens of live contexts; past it the oldest report is
+/// evicted and recomputed on its next use.
+const REPORT_TABLE_CAPACITY: usize = 64;
+
+/// One stored modelled report and the key it was computed for.
+#[derive(Debug)]
+struct ReportEntry {
+    gpu: GpuSpec,
+    plan: KernelPlan,
+    vq: VqConfig,
+    report: KernelOutput,
+}
+
+impl ReportEntry {
+    fn is_for(&self, gpu: &GpuSpec, plan: &KernelPlan, vq: &VqConfig) -> bool {
+        self.plan == *plan && self.vq == *vq && self.gpu == *gpu
+    }
+}
+
+/// Per-plan modelled reports, oldest first, keyed by value on
+/// `(GpuSpec, KernelPlan, VqConfig)`.
+#[derive(Default)]
+struct ReportTable {
+    entries: Mutex<VecDeque<ReportEntry>>,
+}
+
+impl std::fmt::Debug for ReportTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ReportTable")
+            .field("len", &self.len())
+            .field("capacity", &REPORT_TABLE_CAPACITY)
+            .finish()
+    }
+}
+
+impl ReportTable {
+    /// The stored report for the key, or a fresh estimate under the
+    /// algorithm's default access profile, stored for the next call. The
+    /// estimate runs outside the lock, so a miss never stalls concurrent
+    /// hits; racing misses on one key compute the same deterministic
+    /// report and only the first insert is kept.
+    fn get_or_estimate(&self, gpu: &GpuSpec, plan: &KernelPlan, vq: &VqConfig) -> KernelOutput {
+        if let Some(report) = self.stored(gpu, plan, vq) {
+            return report;
+        }
+        let report = vq_kernel::estimate(gpu, plan, &AccessProfile::default_for(vq));
+        let mut entries = lock_recover(&self.entries);
+        if !entries.iter().any(|e| e.is_for(gpu, plan, vq)) {
+            if entries.len() == REPORT_TABLE_CAPACITY {
+                entries.pop_front();
+            }
+            entries.push_back(ReportEntry {
+                gpu: gpu.clone(),
+                plan: plan.clone(),
+                vq: *vq,
+                report: report.clone(),
+            });
+        }
+        report
+    }
+
+    fn stored(&self, gpu: &GpuSpec, plan: &KernelPlan, vq: &VqConfig) -> Option<KernelOutput> {
+        lock_recover(&self.entries)
+            .iter()
+            .find(|e| e.is_for(gpu, plan, vq))
+            .map(|e| e.report.clone())
+    }
+
+    fn len(&self) -> usize {
+        lock_recover(&self.entries).len()
+    }
 }
 
 impl Default for CpuBackend {
@@ -489,7 +572,7 @@ impl Default for CpuBackend {
 impl CpuBackend {
     /// Single-threaded backend (deterministic, bench-friendly).
     pub fn new() -> Self {
-        CpuBackend { threads: 1 }
+        CpuBackend::with_threads(1)
     }
 
     /// Backend with an explicit worker-partition count for the parallel
@@ -501,7 +584,10 @@ impl CpuBackend {
         if threads > 1 {
             host_exec::pool::WorkerPool::shared();
         }
-        CpuBackend { threads }
+        CpuBackend {
+            threads,
+            reports: Arc::default(),
+        }
     }
 
     /// Backend sized to the machine's available parallelism.
@@ -523,15 +609,16 @@ impl CpuBackend {
         HostBlocking::for_plan(plan).with_threads(self.threads)
     }
 
-    /// Modelled counters for the executed plan under the algorithm's
-    /// default access distribution. Deliberately *not* profiled from the
-    /// tensor: a per-call `AccessHistogram::profile` would re-decode every
-    /// packed index (O(rows × groups)) on the serving hot path, rivalling
-    /// the fused kernel itself; real execution is the product here and the
-    /// counters are a constant-per-plan report.
+    /// The modelled report for the executed plan under the algorithm's
+    /// default access distribution, computed once per
+    /// `(gpu, plan, q.config())` and then served from the backend's report
+    /// table. Deliberately *not* profiled from the tensor: a per-call
+    /// `AccessHistogram::profile` would re-decode every packed index
+    /// (O(rows × groups)) on the serving hot path, rivalling the fused
+    /// kernel itself; real execution is the product here and the report
+    /// is a per-plan constant.
     fn output_for(&self, gpu: &GpuSpec, plan: &KernelPlan, q: &QuantizedTensor) -> KernelOutput {
-        let profile = AccessProfile::default_for(q.config());
-        vq_kernel::estimate(gpu, plan, &profile)
+        self.reports.get_or_estimate(gpu, plan, q.config())
     }
 }
 
@@ -902,6 +989,135 @@ mod tests {
         assert!(PerfModelBackend
             .run_attention_ragged_tailed(&gpu, &plan, &qs, &lens, &exts[..2], &kq, &vq_t)
             .is_err());
+    }
+
+    /// Bitwise view of a report: `Debug` prints every `f64` field in its
+    /// shortest round-trip form, so equal strings mean equal bits
+    /// (stricter than `PartialEq`, which equates `0.0` and `-0.0`).
+    fn report_bits(o: &KernelOutput) -> String {
+        format!("{o:?}")
+    }
+
+    #[test]
+    fn report_table_serves_the_standalone_estimate_once_per_plan() {
+        let gpu = GpuSpec::rtx4090();
+        let vq_cfg = VqAlgorithm::Cq4.config();
+        let k = synth::kv_stream(320, 32, 0.8, 40);
+        let kq = VqQuantizer::new(vq_cfg).quantize(&k, 1).unwrap();
+        let vq_t = VqQuantizer::new(vq_cfg).quantize(&k, 2).unwrap();
+        let attn = plan_for(&vq_cfg, &ComputeOp::attention_decode(1, 32, 320, 2));
+        let w_cfg = VqAlgorithm::Gptvq2.config();
+        let w = synth::correlated_channels(32, 32, 4, 0.9, 41);
+        let wq = VqQuantizer::new(w_cfg).quantize(&w, 3).unwrap();
+        let linear = plan_for(&w_cfg, &ComputeOp::Gemm { m: 2, n: 32, k: 32 });
+        let want_attn = vq_kernel::estimate(&gpu, &attn, &AccessProfile::default_for(&vq_cfg));
+        let want_linear = vq_kernel::estimate(&gpu, &linear, &AccessProfile::default_for(&w_cfg));
+        let qs = Tensor2D::from_fn(2, 32, |b, d| ((b * 5 + d) as f32 * 0.29).sin());
+        let backend = CpuBackend::new();
+        let run_attn = |b: &CpuBackend| {
+            b.run_attention_ragged(&gpu, &attn, &qs, &[320, 64], &kq, &vq_t)
+                .unwrap()
+                .1
+        };
+        let run_linear = |b: &CpuBackend| b.run_gemm(&gpu, &linear, &qs, &wq).unwrap().1;
+
+        // First call, repeated call, two plans interleaved, and a clone:
+        // every report is bitwise the standalone estimate.
+        for (i, got) in [
+            run_attn(&backend),
+            run_attn(&backend),
+            run_linear(&backend),
+            run_attn(&backend),
+            run_linear(&backend),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let want = if matches!(i, 2 | 4) {
+                &want_linear
+            } else {
+                &want_attn
+            };
+            assert_eq!(report_bits(got), report_bits(want), "call {i}");
+        }
+        assert_eq!(backend.reports.len(), 2, "one entry per plan");
+        let clone = backend.clone();
+        assert_eq!(report_bits(&run_linear(&clone)), report_bits(&want_linear));
+        assert_eq!(backend.reports.len(), 2, "clones share the table");
+        // Every run_* shape goes through the same table.
+        let (_, head) = backend
+            .run_attention_head(&gpu, &attn, qs.row(0), &kq, &vq_t)
+            .unwrap();
+        let (_, batch) = backend
+            .run_attention_batch(&gpu, &attn, &qs, &kq, &vq_t)
+            .unwrap();
+        let (_, tailed) = backend
+            .run_attention_ragged_tailed(
+                &gpu,
+                &attn,
+                &qs,
+                &[320, 64],
+                &[
+                    host_exec::RaggedExt::default(),
+                    host_exec::RaggedExt::default(),
+                ],
+                &kq,
+                &vq_t,
+            )
+            .unwrap();
+        for got in [&head, &batch, &tailed] {
+            assert_eq!(report_bits(got), report_bits(&want_attn));
+        }
+        assert_eq!(backend.reports.len(), 2);
+    }
+
+    #[test]
+    fn report_table_keys_on_config_and_gpu_and_stays_bounded() {
+        let gpu = GpuSpec::rtx4090();
+        let other_gpu = GpuSpec {
+            dram_bw_gbps: gpu.dram_bw_gbps / 2.0,
+            ..gpu.clone()
+        };
+        let plan = plan_for(
+            &VqAlgorithm::Cq4.config(),
+            &ComputeOp::attention_decode(1, 32, 128, 1),
+        );
+        let table = ReportTable::default();
+        // Same plan, different tensor configs and GPUs: separate entries,
+        // each bitwise its own standalone estimate.
+        let keys = [
+            (&gpu, VqAlgorithm::Cq4.config()),
+            (&gpu, VqAlgorithm::Cq2.config()),
+            (&other_gpu, VqAlgorithm::Cq4.config()),
+        ];
+        for _ in 0..2 {
+            for (g, cfg) in &keys {
+                let want = vq_kernel::estimate(g, &plan, &AccessProfile::default_for(cfg));
+                assert_eq!(
+                    report_bits(&table.get_or_estimate(g, &plan, cfg)),
+                    report_bits(&want)
+                );
+            }
+        }
+        assert_eq!(table.len(), keys.len());
+
+        // More distinct plans than the capacity: the table stays at its
+        // capacity, and the evicted oldest key is recomputed exactly.
+        let cfg = VqAlgorithm::Cq2.config();
+        let plans: Vec<KernelPlan> = (1..=REPORT_TABLE_CAPACITY + 8)
+            .map(|seq| plan_for(&cfg, &ComputeOp::attention_decode(1, 32, 16 * seq, 1)))
+            .collect();
+        for p in &plans {
+            table.get_or_estimate(&gpu, p, &cfg);
+            assert!(table.len() <= REPORT_TABLE_CAPACITY);
+        }
+        assert_eq!(table.len(), REPORT_TABLE_CAPACITY);
+        let want = vq_kernel::estimate(&gpu, &plans[0], &AccessProfile::default_for(&cfg));
+        assert_eq!(
+            report_bits(&table.get_or_estimate(&gpu, &plans[0], &cfg)),
+            report_bits(&want)
+        );
+        assert_eq!(table.len(), REPORT_TABLE_CAPACITY);
     }
 
     #[test]

@@ -52,8 +52,10 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// straight-line code that cannot panic; jobs that *can* panic run
 /// outside these guards (under `catch_unwind`), so a poisoned lock
 /// never exposes torn state — and the pool must keep serving other
-/// scopes after one job panics.
-fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+/// scopes after one job panics. The `CpuBackend` report table shares
+/// it on the same terms: its critical sections are whole-entry scans and
+/// inserts, and the estimate itself runs outside the guard.
+pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 

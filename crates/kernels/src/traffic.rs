@@ -158,7 +158,8 @@ impl XorShift {
 }
 
 /// Samples `samples` warp-wide lookup events and replays them against the
-/// bank and coalescing models.
+/// bank and coalescing models. Allocation-free per sample: the lane
+/// addresses live in stack arrays and both replays run on the stack.
 ///
 /// `entry_cache_bytes` is the per-entry footprint in the cache (int8
 /// lattice points for QuiP#, FP16 otherwise).
@@ -182,8 +183,8 @@ pub fn model_codebook_access(
     let mut gmem_lines = 0usize;
 
     for _ in 0..samples.max(1) {
-        let mut smem_addrs: Vec<Option<usize>> = vec![None; WARP_SIZE];
-        let mut gmem_addrs: Vec<Option<usize>> = vec![None; WARP_SIZE];
+        let mut smem_addrs = [None; WARP_SIZE];
+        let mut gmem_addrs = [None; WARP_SIZE];
         for lane in 0..WARP_SIZE {
             let rank = profile.sample(rng.next_f64());
             match placement.level_of(rank) {
@@ -240,8 +241,94 @@ pub fn l1_hit_rate(working_set_bytes: usize, gpu: &GpuSpec) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use vqllm_core::CachePlacement;
     use vqllm_vq::VqAlgorithm;
+
+    /// The original per-sample `Vec` lane buffers, kept as the oracle for
+    /// the stack-array sampler.
+    fn model_codebook_access_oracle(
+        profile: &AccessProfile,
+        placement: &CachePlacement,
+        entry_cache_bytes: usize,
+        gpu: &GpuSpec,
+        samples: usize,
+        seed: u64,
+    ) -> CodebookAccessCost {
+        let smem = SharedMemoryModel::new(gpu);
+        let gmem = GlobalMemoryModel::new(gpu);
+        let mut rng = XorShift(seed | 1);
+        let (mut reg_hits, mut shared_hits, mut global_hits) = (0usize, 0usize, 0usize);
+        let (mut smem_cycles, mut conflict_cycles, mut gmem_lines) = (0usize, 0usize, 0usize);
+        for _ in 0..samples.max(1) {
+            let mut smem_addrs: Vec<Option<usize>> = vec![None; WARP_SIZE];
+            let mut gmem_addrs: Vec<Option<usize>> = vec![None; WARP_SIZE];
+            for lane in 0..WARP_SIZE {
+                let rank = profile.sample(rng.next_f64());
+                match placement.level_of(rank) {
+                    vqllm_core::CacheLevel::Register => reg_hits += 1,
+                    vqllm_core::CacheLevel::Shared => {
+                        shared_hits += 1;
+                        smem_addrs[lane] = Some((rank - placement.n_reg) * entry_cache_bytes);
+                    }
+                    vqllm_core::CacheLevel::Global => {
+                        global_hits += 1;
+                        gmem_addrs[lane] = Some(rank * entry_cache_bytes);
+                    }
+                }
+            }
+            let sa = smem.warp_access(&smem_addrs, entry_cache_bytes);
+            smem_cycles += sa.cycles;
+            conflict_cycles += sa.conflict_cycles;
+            gmem_lines += gmem
+                .warp_access(&gmem_addrs, entry_cache_bytes)
+                .transactions;
+        }
+        let total = (samples.max(1) * WARP_SIZE) as f64;
+        let n = samples.max(1) as f64;
+        CodebookAccessCost {
+            frac_reg: reg_hits as f64 / total,
+            frac_shared: shared_hits as f64 / total,
+            frac_global: global_hits as f64 / total,
+            smem_cycles_per_warp: smem_cycles as f64 / n,
+            conflict_cycles_per_warp: conflict_cycles as f64 / n,
+            gmem_lines_per_warp: gmem_lines as f64 / n,
+        }
+    }
+
+    fn cost_bits(c: &CodebookAccessCost) -> [u64; 6] {
+        [
+            c.frac_reg.to_bits(),
+            c.frac_shared.to_bits(),
+            c.frac_global.to_bits(),
+            c.smem_cycles_per_warp.to_bits(),
+            c.conflict_cycles_per_warp.to_bits(),
+            c.gmem_lines_per_warp.to_bits(),
+        ]
+    }
+
+    proptest! {
+        /// The stack-array sampler is bitwise the `Vec` one over profile
+        /// skews and sizes, register/shared/global placements, and entry
+        /// footprints.
+        #[test]
+        fn codebook_access_matches_allocating_oracle(
+            entries in 1usize..600,
+            skew in 0.0f64..1.5,
+            cuts in (0.0f64..1.0, 0.0f64..1.0),
+            entry_bytes in prop::sample::select(vec![1usize, 2, 4, 8, 12, 16, 32]),
+            samples in 1usize..48,
+            seed in 0u64..1 << 40,
+        ) {
+            let profile = AccessProfile::zipf(entries, skew);
+            let lo = (cuts.0.min(cuts.1) * entries as f64) as usize;
+            let hi = (cuts.0.max(cuts.1) * entries as f64) as usize;
+            let placement = CachePlacement { n_reg: lo, n_shared: hi };
+            let got = model_codebook_access(&profile, &placement, entry_bytes, &gpu(), samples, seed);
+            let want = model_codebook_access_oracle(&profile, &placement, entry_bytes, &gpu(), samples, seed);
+            prop_assert_eq!(cost_bits(&got), cost_bits(&want));
+        }
+    }
 
     fn gpu() -> GpuSpec {
         GpuSpec::rtx4090()

@@ -186,8 +186,9 @@ pub const LOCK_HIERARCHY: &[LockClass] = &[
         rank: 20,
         name: "PlanCache.gate",
     },
-    // Failpoint registry and tenant metrics are single-lock files; listed
-    // so any future second lock in them must declare a rank.
+    // Failpoint registry, tenant metrics and the CPU backend's report
+    // table are single-lock files; listed so any future second lock in
+    // them must declare a rank.
     LockClass {
         file: "crates/core/src/failpoint.rs",
         recv: "sites",
@@ -199,6 +200,12 @@ pub const LOCK_HIERARCHY: &[LockClass] = &[
         recv: "tenants",
         rank: 10,
         name: "metrics.tenants",
+    },
+    LockClass {
+        file: "crates/kernels/src/backend.rs",
+        recv: "entries",
+        rank: 10,
+        name: "ReportTable.entries",
     },
 ];
 

@@ -274,8 +274,11 @@ pub struct StepReport {
     pub finished: Vec<RequestId>,
     /// Requests still waiting after this step.
     pub queued: usize,
-    /// KV-quantization overhead charged across the batch this step,
-    /// microseconds.
+    /// *Modeled* KV-quantization overhead charged across the batch this
+    /// step, microseconds: [`kv::DECODE_QUANT_OVERHEAD_US`] per token
+    /// appended to a quantized cache, not a measured time.
+    ///
+    /// [`kv::DECODE_QUANT_OVERHEAD_US`]: crate::kv::DECODE_QUANT_OVERHEAD_US
     pub kv_quant_us: f64,
     /// Requests quarantined this step by the fault-containment layer:
     /// their group panicked or their KV append failed, they left the
@@ -999,8 +1002,11 @@ impl MultiServer {
                     r.remaining -= 1;
                 }
 
-                // Profile feedback: the shared K-decode touched rows
-                // [0, max_len) of this context's packed codes this step.
+                // Profile feedback: the deepest prefix any tenant attended
+                // this step. Both passes still decode all `seq` rows of
+                // the context (rows past a tenant's length get exactly
+                // zero weight), but only rows [0, max_len) carry softmax
+                // mass, so the periodic check profiles that prefix.
                 let max_len = lens.iter().copied().max().unwrap_or(0);
                 let state = &mut self.contexts[*ctx_id as usize];
                 state.stats.steps += 1;

@@ -260,8 +260,12 @@ pub struct RequestOutput {
     /// One decoded hidden-state row (`head_dim` wide) per step, in step
     /// order.
     pub steps: Vec<Vec<f32>>,
-    /// Total on-the-fly KV-quantization overhead charged to this tenant's
-    /// cache growth, microseconds.
+    /// Total *modeled* on-the-fly KV-quantization overhead charged to
+    /// this tenant's cache growth, microseconds:
+    /// [`kv::DECODE_QUANT_OVERHEAD_US`] per token appended to a quantized
+    /// cache, not a measured time.
+    ///
+    /// [`kv::DECODE_QUANT_OVERHEAD_US`]: crate::kv::DECODE_QUANT_OVERHEAD_US
     pub kv_quant_us: f64,
     /// Scheduler step at which the request was submitted.
     pub submitted_step: u64,

@@ -483,16 +483,19 @@ fn slow_reader_is_evicted_and_its_tickets_cancelled() {
         loopback_with(engine, vec![h], AdmissionConfig::default(), net).expect("bind loopback");
     let client = server.client().clone();
 
-    // Submit enough streamed tokens to overrun both the socket buffers
-    // and the 8-frame writer queue, then never read a byte.
+    // Submit streamed work and never read a byte. A fixed backlog cannot
+    // promise an overflow: loopback socket buffers autotune up to the
+    // `tcp_rmem`/`tcp_wmem` maxima (tens of MB on common kernels) and can
+    // absorb the whole stream, leaving the 8-frame writer queue nearly
+    // empty. So keep the server's unread output growing — topping the
+    // driver's queue up whenever it runs low — until the connection is
+    // evicted as a slow reader, which must still happen in time.
     let stream = TcpStream::connect(server.local_addr()).expect("connect");
     let mut writer = stream.try_clone().expect("clone socket");
-    for i in 0..24u64 {
-        let line = proto::submit_line(0, i, &query(i), 8, 240, 0, None, true);
-        writeln!(writer, "{line}").expect("send submit");
-    }
-
-    // The connection must be evicted as a slow reader.
+    writer
+        .set_write_timeout(Some(Duration::from_secs(1)))
+        .expect("write timeout");
+    let mut tenant = 0u64;
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
     loop {
         let m = client.metrics();
@@ -508,6 +511,18 @@ fn slow_reader_is_evicted_and_its_tickets_cancelled() {
             std::time::Instant::now() < deadline,
             "slow reader never evicted: {m:?}"
         );
+        let stats = client.stats().expect("driver alive");
+        if stats.front_queued + stats.engine_queued < 8 {
+            for _ in 0..8 {
+                let line = proto::submit_line(0, tenant, &query(tenant), 8, 240, 0, None, true);
+                tenant += 1;
+                // A failed write means the eviction already closed the
+                // socket; the metrics check above confirms it.
+                if writeln!(writer, "{line}").is_err() {
+                    break;
+                }
+            }
+        }
         std::thread::sleep(Duration::from_millis(10));
     }
 

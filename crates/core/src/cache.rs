@@ -18,14 +18,13 @@
 //! shared memory and registers a block can consume without lowering its
 //! SM residency, divided by the entry size.
 
-use serde::{Deserialize, Serialize};
 use vqllm_gpu::occupancy::{BlockResources, Occupancy};
 use vqllm_gpu::GpuSpec;
 use vqllm_vq::stats::AccessHistogram;
 use vqllm_vq::Codebook;
 
 /// Where an entry is served from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CacheLevel {
     /// Thread-local registers (hot entries).
     Register,
@@ -38,7 +37,7 @@ pub enum CacheLevel {
 /// The two boundaries of the reorder-based static mapping: reordered ids
 /// `< n_reg` live in registers, `< n_shared` in shared memory, the rest in
 /// global memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CachePlacement {
     /// First boundary: entries `[0, n_reg)` are register-resident.
     pub n_reg: usize,
@@ -116,7 +115,7 @@ impl CachePlacement {
 /// Resource slack available to the codebook cache (paper Fig. 10's blue
 /// region), derived from the occupancy analysis of the *compute* block
 /// shape before any codebook is placed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheBudget {
     /// Shared-memory bytes consumable for free.
     pub smem_slack_bytes: usize,

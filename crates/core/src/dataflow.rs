@@ -21,11 +21,10 @@
 //! (the paper invokes the mean value theorem for the same conclusion).
 
 use crate::ops::{AttnOperand, ComputeOp};
-use serde::{Deserialize, Serialize};
 use vqllm_vq::config::VqConfig;
 
 /// The planned dataflow for one fused kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DataflowPlan {
     /// Degree of parallelization along the codebook-switch axes.
     pub split_factor: usize,

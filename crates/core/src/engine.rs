@@ -17,14 +17,13 @@ use crate::dataflow::{plan_dataflow, DataflowPlan};
 use crate::fusion::{choose_fusion, FusionLevel};
 use crate::ops::{AttnOperand, ComputeOp};
 use crate::{CoreError, Result};
-use serde::{Deserialize, Serialize};
 use vqllm_gpu::occupancy::BlockResources;
 use vqllm_gpu::{GpuSpec, LaunchConfig};
 use vqllm_vq::config::{CodebookScope, VqConfig};
 use vqllm_vq::stats::AccessHistogram;
 
 /// The optimization ladder (paper Tbl. IV).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OptLevel {
     /// Naive implementation, codebooks in global memory.
     Gc,
@@ -83,7 +82,7 @@ impl std::fmt::Display for OptLevel {
 }
 
 /// Baseline tiling of the fused kernel (before codebook placement).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tiling {
     /// Threads per block.
     pub threads: usize,
@@ -104,7 +103,7 @@ pub struct Tiling {
 
 /// Offline profile summary feeding placement decisions (Tbl. V's
 /// "#Entry freq > µ+3σ" row).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProfileSummary {
     /// Entries hotter than µ+3σ.
     pub num_hot: usize,
@@ -241,7 +240,7 @@ fn books_per_block_weight(vq: &VqConfig, k: usize, block_cols: usize) -> usize {
 
 /// A fully-parameterized fused-kernel plan — the output of the code
 /// generator's decision phase, executed by `vqllm-kernels`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelPlan {
     /// The computation being fused into.
     pub op: ComputeOp,

@@ -90,7 +90,7 @@ pub const SITES: &[(&str, &str)] = &[
     ),
     (
         "host.attention_ragged",
-        "ragged shared-K attention entry (plain and tailed variants)",
+        "entry of the one batched attention kernel (batch, ragged and live-KV calls)",
     ),
 ];
 

@@ -12,7 +12,6 @@
 //! of `l` elements is `v/l − 1` (Fig. 12: `v = 8`, `l = 2` → mini-warps of
 //! 4 lanes, 3 `shfl_xor` rounds).
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use vqllm_gpu::warp::{Warp, WARP_SIZE};
 
@@ -21,7 +20,7 @@ use vqllm_gpu::warp::{Warp, WARP_SIZE};
 pub const SHUFFLE_THRESHOLD: usize = 5;
 
 /// Where the dequantize→compute hand-off happens.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FusionLevel {
     /// Registers, via `shuffles` warp-shuffle rounds.
     Register {

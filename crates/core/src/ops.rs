@@ -9,7 +9,6 @@
 //! the two is what demands an explicit global reduction in the
 //! codebook-centric dataflow (§VI-A).
 
-use serde::{Deserialize, Serialize};
 use vqllm_vq::config::CodebookScope;
 
 /// Named axes, following the paper's notation.
@@ -17,7 +16,7 @@ use vqllm_vq::config::CodebookScope;
 /// Weight computations use `M` (weight rows = contraction dim), `N` (weight
 /// columns = outputs) and `R` (residual rounds). Attention uses `B` (batch),
 /// `H` (head), `T` (token), `C` (channel) plus `R`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Axis {
     /// Weight rows (the GeMM/GeMV contraction dimension).
     M,
@@ -37,7 +36,7 @@ pub enum Axis {
 
 /// Which operand of the attention computation is being described (K and V
 /// caches reduce along different axes — Fig. 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttnOperand {
     /// Key cache: the QK inner product reduces along channels.
     KCache,
@@ -46,7 +45,7 @@ pub enum AttnOperand {
 }
 
 /// A computation to fuse VQ dequantization into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ComputeOp {
     /// `C[m,n] = A[m,k=weight_rows] × W[weight_rows, n]`, weight quantized.
     Gemm {

@@ -3,12 +3,12 @@
 //! A long-running server warms its [`PlanCache`](super::PlanCache) with a
 //! handful of canonical serving shapes at construction; persisting that
 //! working set lets a restarted engine skip the cold-start planning pass
-//! entirely. The vendored `serde` stand-in is derive-only (see
-//! `vendor/README.md`), so this module carries its own small, versioned,
-//! line-oriented text codec: one `(PlanKey, KernelPlan)` entry per line,
-//! every field written as an explicit token, floats as IEEE-754 bit
-//! patterns so a round trip is bitwise exact. Swapping in the real `serde`
-//! later can replace the codec without touching the [`PlanCache`] API.
+//! entirely. The workspace builds offline with no serialization crate,
+//! so this module carries its own small, versioned, line-oriented text
+//! codec: one `(PlanKey, KernelPlan)` entry per line, every field written
+//! as an explicit token, floats as IEEE-754 bit patterns so a round trip
+//! is bitwise exact. The codec sits behind the [`PlanCache`] API, so it
+//! can be replaced without touching callers.
 //!
 //! The format is strict on read: any malformed token fails the whole load
 //! with [`io::ErrorKind::InvalidData`] rather than silently dropping

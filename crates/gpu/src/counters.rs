@@ -9,11 +9,10 @@
 //! Counters are plain data: kernels tally them for a representative tile,
 //! then [`PerfCounters::scaled`] extrapolates to the full grid.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign};
 
 /// Accumulated activity of one kernel launch (or one tile thereof).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PerfCounters {
     /// Bytes loaded from DRAM (includes over-fetch from poor coalescing).
     pub dram_read_bytes: f64,

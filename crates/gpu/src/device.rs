@@ -6,13 +6,12 @@
 //! the RTX 4090").
 
 use crate::occupancy::{BlockResources, Occupancy};
-use serde::{Deserialize, Serialize};
 
 /// Static description of a CUDA-like GPU.
 ///
 /// Only parameters the performance model consumes are included; everything
 /// is public-datasheet material.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuSpec {
     /// Marketing name, for reports.
     pub name: String,

@@ -1,10 +1,9 @@
 //! Kernel launch configuration.
 
 use crate::occupancy::BlockResources;
-use serde::{Deserialize, Serialize};
 
 /// Grid-level description of a kernel launch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LaunchConfig {
     /// Total thread blocks in the grid.
     pub grid_blocks: usize,

@@ -7,10 +7,9 @@
 //! slack from the binding limiter.
 
 use crate::device::GpuSpec;
-use serde::{Deserialize, Serialize};
 
 /// Per-block resource appetite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BlockResources {
     /// Threads per block (multiple of the warp size in practice).
     pub threads: usize,
@@ -32,7 +31,7 @@ impl BlockResources {
 }
 
 /// Result of occupancy analysis for one block shape on one device.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Occupancy {
     /// Blocks resident per SM.
     pub blocks_per_sm: usize,
@@ -51,7 +50,7 @@ pub struct Occupancy {
 }
 
 /// The resource that caps residency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Limiter {
     /// Thread count per SM.
     Threads,

@@ -24,10 +24,9 @@ use crate::counters::PerfCounters;
 use crate::device::GpuSpec;
 use crate::launch::LaunchConfig;
 use crate::occupancy::Occupancy;
-use serde::{Deserialize, Serialize};
 
 /// Which component bound the kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Bound {
     /// DRAM bandwidth.
     Dram,
@@ -40,7 +39,7 @@ pub enum Bound {
 }
 
 /// Latency estimate with its per-component breakdown (microseconds).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyBreakdown {
     /// DRAM component.
     pub dram_us: f64,

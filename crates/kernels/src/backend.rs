@@ -173,9 +173,9 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
     /// Ragged batched attention decode: query `b` attends only the first
     /// `lens[b]` cached tokens of the shared quantized K/V — the
     /// continuous-batching shape, where co-scheduled tenants sit at
-    /// different positions in one cache. The default dequantizes and loops
-    /// the reference per query (correct on any substrate); [`CpuBackend`]
-    /// overrides it with the fused ragged kernel whose K-decode is shared
+    /// different positions in one cache. The default is
+    /// [`Backend::run_attention_ragged_tailed`] with no extensions;
+    /// [`CpuBackend`] runs the fused kernel whose K-decode is shared
     /// across the batch.
     ///
     /// # Errors
@@ -191,64 +191,20 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
         kq: &QuantizedTensor,
         vq: &QuantizedTensor,
     ) -> Result<(Tensor2D, KernelOutput)> {
-        if qs.rows() == 0 {
-            return Err(crate::KernelError::InvalidInput {
-                what: "empty query batch",
-            });
-        }
-        if lens.len() != qs.rows() {
-            return Err(crate::KernelError::ShapeMismatch {
-                what: "one softmax length per query row",
-            });
-        }
-        if kq.shape() != vq.shape() || qs.cols() != kq.shape().1 {
-            return Err(crate::KernelError::ShapeMismatch {
-                what: "qs/K/V shapes disagree",
-            });
-        }
-        let (seq, head_dim) = kq.shape();
-        if lens.iter().any(|&l| l == 0 || l > seq) {
-            return Err(crate::KernelError::InvalidInput {
-                what: "softmax lengths must be in 1..=seq",
-            });
-        }
-        let kd = kq
-            .dequantize()
-            .map_err(|_| crate::KernelError::InvalidInput {
-                what: "K cache failed to dequantize",
-            })?;
-        let vd = vq
-            .dequantize()
-            .map_err(|_| crate::KernelError::InvalidInput {
-                what: "V cache failed to dequantize",
-            })?;
-        let scale = 1.0 / (head_dim as f32).sqrt();
-        let mut out = Tensor2D::zeros(qs.rows(), head_dim);
-        for (b, &len) in lens.iter().enumerate() {
-            let row = vqllm_tensor::linalg::attention_decode_ref(
-                qs.row(b),
-                &kd.slice(0, 0, len, head_dim),
-                &vd.slice(0, 0, len, head_dim),
-                scale,
-            )
-            .map_err(|_| crate::KernelError::ShapeMismatch {
-                what: "reference attention rejected the ragged slice",
-            })?;
-            out.row_mut(b).copy_from_slice(&row);
-        }
-        let profile = AccessProfile::default_for(kq.config());
-        let counters = self.estimate(gpu, plan, &profile);
-        Ok((out, counters))
+        self.run_attention_ragged_tailed(gpu, plan, qs, lens, &[], kq, vq)
     }
 
     /// Ragged attention decode over a shared quantized context **plus
     /// per-query private KV extensions** ([`RaggedExt`]: packed codes
     /// encoded against the context's codebooks, sparse outlier residuals,
     /// and an unquantized f32 tail window) — the live-KV serving shape.
-    /// The default dequantizes the context, reconstructs each extension
-    /// (codes + outliers + tail) and loops the dense reference per query
-    /// (correct on any substrate); [`CpuBackend`] overrides it with the
-    /// fused tailed kernel that keeps the shared batched LUT score pass.
+    /// `exts` is empty (no extensions) or holds one extension per query
+    /// row. The default dequantizes the context, reconstructs each
+    /// extension (codes + outliers + tail) and loops the dense reference
+    /// per query (correct on any substrate, and the test oracle for the
+    /// fused kernel); [`CpuBackend`] runs the fused
+    /// [`host_exec::attention_decode`] kernel, which keeps the shared
+    /// batched LUT score pass.
     ///
     /// [`RaggedExt`]: host_exec::RaggedExt
     ///
@@ -256,7 +212,8 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
     ///
     /// Returns an error on shape mismatches, an empty batch, lengths
     /// outside `1..=seq`, or extensions inconsistent with the context's
-    /// VQ configuration.
+    /// VQ configuration — the same rejections, variant for variant, as
+    /// the fused kernel.
     #[allow(clippy::too_many_arguments)]
     fn run_attention_ragged_tailed(
         &self,
@@ -268,27 +225,7 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
         kq: &QuantizedTensor,
         vq: &QuantizedTensor,
     ) -> Result<(Tensor2D, KernelOutput)> {
-        if qs.rows() == 0 {
-            return Err(crate::KernelError::InvalidInput {
-                what: "empty query batch",
-            });
-        }
-        if lens.len() != qs.rows() || exts.len() != qs.rows() {
-            return Err(crate::KernelError::ShapeMismatch {
-                what: "one prefix length and one extension per query row",
-            });
-        }
-        if kq.shape() != vq.shape() || qs.cols() != kq.shape().1 {
-            return Err(crate::KernelError::ShapeMismatch {
-                what: "qs/K/V shapes disagree",
-            });
-        }
-        let (seq, head_dim) = kq.shape();
-        if lens.iter().any(|&l| l == 0 || l > seq) {
-            return Err(crate::KernelError::InvalidInput {
-                what: "softmax lengths must be in 1..=seq",
-            });
-        }
+        host_exec::validate_attention(qs, lens, exts, kq, vq)?;
         let kd = kq
             .dequantize()
             .map_err(|_| crate::KernelError::InvalidInput {
@@ -299,12 +236,13 @@ pub trait Backend: std::fmt::Debug + Send + Sync {
             .map_err(|_| crate::KernelError::InvalidInput {
                 what: "V cache failed to dequantize",
             })?;
+        let head_dim = kq.shape().1;
         let scale = 1.0 / (head_dim as f32).sqrt();
         let mut out = Tensor2D::zeros(qs.rows(), head_dim);
-        for (b, ext) in exts.iter().enumerate() {
-            let len = lens[b];
-            let kfull = splice_extension(&kd, len, ext, kq, ExtSide::K)?;
-            let vfull = splice_extension(&vd, len, ext, vq, ExtSide::V)?;
+        for (b, &len) in lens.iter().enumerate() {
+            let ext = exts.get(b).copied().unwrap_or_default();
+            let kfull = splice_extension(&kd, len, &ext, kq, ExtSide::K);
+            let vfull = splice_extension(&vd, len, &ext, vq, ExtSide::V);
             let row = vqllm_tensor::linalg::attention_decode_ref(qs.row(b), &kfull, &vfull, scale)
                 .map_err(|_| crate::KernelError::ShapeMismatch {
                     what: "reference attention rejected the spliced extension",
@@ -326,40 +264,22 @@ enum ExtSide {
 
 /// Dense reconstruction of `len` context rows plus one query's extension
 /// (decoded codes + outlier residuals + f32 tail) — the oracle the
-/// default [`Backend::run_attention_ragged_tailed`] attends over.
+/// default [`Backend::run_attention_ragged_tailed`] attends over. The
+/// extension must have passed `host_exec::validate_attention`.
 fn splice_extension(
     base: &Tensor2D,
     len: usize,
     ext: &host_exec::RaggedExt<'_>,
     q: &QuantizedTensor,
     side: ExtSide,
-) -> Result<Tensor2D> {
-    let cfg = q.config();
-    if matches!(cfg.scope, vqllm_vq::CodebookScope::PerTile { .. }) {
-        return Err(crate::KernelError::InvalidInput {
-            what: "per-tile codebook scopes are row-dependent; live-KV extensions \
-                   require a row-invariant scope (PerTensor or PerChannelGroup)",
-        });
-    }
+) -> Tensor2D {
     let (codes, outliers, tail) = match side {
         ExtSide::K => (ext.k_codes, ext.k_outliers, ext.k_tail),
         ExtSide::V => (ext.v_codes, ext.v_outliers, ext.v_tail),
     };
     let head_dim = q.shape().1;
-    let vs = cfg.vector_size;
+    let vs = q.config().vector_size;
     let groups = q.col_groups();
-    if ext.rows > 0
-        && (codes.len() != cfg.residuals || codes.iter().any(|s| s.len() != ext.rows * groups))
-    {
-        return Err(crate::KernelError::ShapeMismatch {
-            what: "extension code stream length must be rows × col_groups",
-        });
-    }
-    if tail.iter().any(|r| r.len() != head_dim) {
-        return Err(crate::KernelError::ShapeMismatch {
-            what: "tail rows must be head_dim wide",
-        });
-    }
     let books = q.codebooks();
     let mut full = Tensor2D::zeros(len + ext.rows + tail.len(), head_dim);
     for r in 0..len {
@@ -375,11 +295,6 @@ fn splice_extension(
         }
     }
     for o in outliers {
-        if o.row >= ext.rows || o.group >= groups || o.values.len() != vs {
-            return Err(crate::KernelError::InvalidInput {
-                what: "outlier residual outside the folded extension",
-            });
-        }
         let orow = full.row_mut(len + o.row);
         for (j, &v) in o.values.iter().enumerate() {
             orow[o.group * vs + j] += v;
@@ -388,7 +303,7 @@ fn splice_extension(
     for (t, trow) in tail.iter().enumerate() {
         full.row_mut(len + ext.rows + t).copy_from_slice(trow);
     }
-    Ok(full)
+    full
 }
 
 /// The GPU performance-model backend (the workspace's documented hardware
@@ -694,16 +609,7 @@ impl Backend for CpuBackend {
         kq: &QuantizedTensor,
         vq: &QuantizedTensor,
     ) -> Result<(Tensor2D, KernelOutput)> {
-        if qs.rows() == 0 {
-            return Err(crate::KernelError::InvalidInput {
-                what: "empty query batch",
-            });
-        }
-        // The real batched kernel: K's packed codes are decoded once for
-        // the whole batch (gemv_lut_batch) and the value pass rides the
-        // panel-blocked GeMM.
-        let out = host_exec::attention_decode_batch(qs, kq, vq, &self.blocking(plan))?;
-        Ok((out, self.output_for(gpu, plan, kq)))
+        self.run_attention_ragged(gpu, plan, qs, &vec![kq.shape().0; qs.rows()], kq, vq)
     }
 
     fn run_attention_ragged(
@@ -715,15 +621,7 @@ impl Backend for CpuBackend {
         kq: &QuantizedTensor,
         vq: &QuantizedTensor,
     ) -> Result<(Tensor2D, KernelOutput)> {
-        if qs.rows() == 0 {
-            return Err(crate::KernelError::InvalidInput {
-                what: "empty query batch",
-            });
-        }
-        // One shared K-decode for the whole ragged batch; per-query softmax
-        // prefixes and an exactly-zero tail in the value pass.
-        let out = host_exec::attention_decode_ragged(qs, lens, kq, vq, &self.blocking(plan))?;
-        Ok((out, self.output_for(gpu, plan, kq)))
+        self.run_attention_ragged_tailed(gpu, plan, qs, lens, &[], kq, vq)
     }
 
     fn run_attention_ragged_tailed(
@@ -736,21 +634,7 @@ impl Backend for CpuBackend {
         kq: &QuantizedTensor,
         vq: &QuantizedTensor,
     ) -> Result<(Tensor2D, KernelOutput)> {
-        if qs.rows() == 0 {
-            return Err(crate::KernelError::InvalidInput {
-                what: "empty query batch",
-            });
-        }
-        // Shared batched LUT score pass over the context, per-query code
-        // expansion + f32 tail splice for the extensions.
-        let out = host_exec::attention_decode_ragged_tailed(
-            qs,
-            lens,
-            exts,
-            kq,
-            vq,
-            &self.blocking(plan),
-        )?;
+        let out = host_exec::attention_decode(qs, lens, exts, kq, vq, &self.blocking(plan))?;
         Ok((out, self.output_for(gpu, plan, kq)))
     }
 }
@@ -989,6 +873,134 @@ mod tests {
         assert!(PerfModelBackend
             .run_attention_ragged_tailed(&gpu, &plan, &qs, &lens, &exts[..2], &kq, &vq_t)
             .is_err());
+    }
+
+    #[test]
+    fn malformed_extensions_are_rejected_alike_by_both_backends() {
+        use crate::host_exec::{OutlierResidual, RaggedExt};
+        use crate::KernelError;
+        let vq_cfg = VqAlgorithm::Cq4.config();
+        let k = synth::kv_stream(320, 32, 0.8, 50);
+        let kq = VqQuantizer::new(vq_cfg).quantize(&k, 1).unwrap();
+        let vq_t = VqQuantizer::new(vq_cfg).quantize(&k, 2).unwrap();
+        let plan = plan_for(&vq_cfg, &ComputeOp::attention_decode(1, 32, 320, 1));
+        let gpu = GpuSpec::rtx4090();
+        let qs = Tensor2D::from_fn(1, 32, |_, d| (d as f32 * 0.21).sin());
+        let groups = kq.col_groups();
+        let vs = vq_cfg.vector_size;
+        let rounds = vq_cfg.residuals;
+        let good = vec![vec![0u32; 2 * groups]; rounds];
+        let short = vec![vec![0u32; 2 * groups - 1]; rounds];
+        let extra_empty = vec![Vec::new(); rounds + 1];
+        let row = vec![0.5f32; 32];
+        let narrow = vec![0.5f32; 31];
+        let outlier = |row, group, width| {
+            vec![OutlierResidual {
+                row,
+                group,
+                values: vec![0.1; width],
+            }]
+        };
+        let (past_rows, past_groups, wrong_width) = (
+            outlier(2, 0, vs),
+            outlier(0, groups, vs),
+            outlier(0, 0, vs + 1),
+        );
+        let folded = |k_codes, k_outliers| RaggedExt {
+            rows: 2,
+            k_codes,
+            v_codes: &good,
+            k_outliers,
+            ..RaggedExt::default()
+        };
+        let shape = KernelError::ShapeMismatch { what: "" };
+        let input = KernelError::InvalidInput { what: "" };
+        let cases: [(&str, RaggedExt<'_>, &KernelError); 8] = [
+            (
+                "no folded rows, one code stream too many",
+                RaggedExt {
+                    k_codes: &extra_empty,
+                    ..RaggedExt::default()
+                },
+                &shape,
+            ),
+            (
+                "missing code stream",
+                folded(&good[..rounds - 1], &[]),
+                &shape,
+            ),
+            ("short code stream", folded(&short, &[]), &shape),
+            (
+                "outlier past the folded rows",
+                folded(&good, &past_rows),
+                &input,
+            ),
+            (
+                "outlier past the column groups",
+                folded(&good, &past_groups),
+                &input,
+            ),
+            (
+                "outlier of the wrong width",
+                folded(&good, &wrong_width),
+                &input,
+            ),
+            (
+                "K/V tails of different lengths",
+                RaggedExt {
+                    k_tail: std::slice::from_ref(&row),
+                    ..RaggedExt::default()
+                },
+                &shape,
+            ),
+            (
+                "tail row narrower than head_dim",
+                RaggedExt {
+                    k_tail: std::slice::from_ref(&narrow),
+                    v_tail: std::slice::from_ref(&narrow),
+                    ..RaggedExt::default()
+                },
+                &shape,
+            ),
+        ];
+        let backend = CpuBackend::new();
+        for (name, ext, want) in cases {
+            let exts = [ext];
+            let cpu = backend
+                .run_attention_ragged_tailed(&gpu, &plan, &qs, &[320], &exts, &kq, &vq_t)
+                .expect_err(name);
+            let reference = PerfModelBackend
+                .run_attention_ragged_tailed(&gpu, &plan, &qs, &[320], &exts, &kq, &vq_t)
+                .expect_err(name);
+            assert_eq!(
+                std::mem::discriminant(&cpu),
+                std::mem::discriminant(want),
+                "{name}: {cpu}"
+            );
+            assert_eq!(cpu, reference, "{name}");
+        }
+        // A per-tile context takes no extension rows (empty ones are fine).
+        let tile_cfg = VqConfig::new(
+            4,
+            16,
+            1,
+            vqllm_vq::CodebookScope::PerTile { rows: 16, cols: 16 },
+        )
+        .unwrap();
+        let tq = VqQuantizer::new(tile_cfg).quantize(&k, 3).unwrap();
+        let tail = [RaggedExt {
+            k_tail: std::slice::from_ref(&row),
+            v_tail: std::slice::from_ref(&row),
+            ..RaggedExt::default()
+        }];
+        let cpu = backend
+            .run_attention_ragged_tailed(&gpu, &plan, &qs, &[320], &tail, &tq, &tq)
+            .expect_err("per-tile extension");
+        let reference = PerfModelBackend
+            .run_attention_ragged_tailed(&gpu, &plan, &qs, &[320], &tail, &tq, &tq)
+            .expect_err("per-tile extension");
+        assert!(matches!(cpu, KernelError::InvalidInput { .. }), "{cpu}");
+        assert_eq!(cpu, reference);
     }
 
     /// Bitwise view of a report: `Debug` prints every `f64` field in its

@@ -24,10 +24,11 @@
 //!   worker decodes a K-panel of its column strip once (all residual
 //!   rounds folded, never the full matrix) and reuses it across an M×N
 //!   register-blocked micro-kernel, instead of re-decoding per output row.
-//! * [`attention_decode_fused`] / [`attention_decode_batch`] — decode
-//!   heads over quantized K/V: the K-side score pass *is* the LUT GeMV
-//!   (batched for multi-query), the V-side weighted sum *is* the
-//!   aggregation GeMV (the batch variant rides the panel-blocked GeMM).
+//! * [`attention_decode_fused`] / [`attention_decode`] — decode heads
+//!   over quantized K/V: the K-side score pass *is* the LUT GeMV (batched
+//!   for multi-query), the V-side weighted sum *is* the aggregation GeMV
+//!   (the batched kernel rides the panel-blocked GeMM and also serves
+//!   ragged prefixes and per-query live-KV extensions).
 //!
 //! Blocking ([`HostBlocking`]) reuses the [`KernelPlan`]'s shared-memory
 //! budget decisions: the bytes the planner would stage into an SM's shared
@@ -748,101 +749,6 @@ pub fn attention_decode_fused(
     gemv_xw(&scores, vq, blocking)
 }
 
-/// Batched fused attention decode: `qs` holds one query row per sequence
-/// (`batch × head_dim`) attending over shared quantized K/V caches;
-/// returns `batch × head_dim` outputs.
-///
-/// The serving-layer composition of the two blocked paths: the score pass
-/// is [`gemv_lut_batch`] (K's packed codes decoded **once** for the whole
-/// batch), and after per-query softmax the value pass is the
-/// panel-blocked [`gemm_fused`] (`scores (batch × seq) × dequant(Vq)`).
-///
-/// # Errors
-///
-/// Returns [`KernelError::ShapeMismatch`] on inconsistent shapes.
-pub fn attention_decode_batch(
-    qs: &Tensor2D,
-    kq: &QuantizedTensor,
-    vq: &QuantizedTensor,
-    blocking: &HostBlocking,
-) -> Result<Tensor2D> {
-    attention_batch_inner(qs, None, kq, vq, blocking)
-}
-
-/// Ragged batched fused attention decode: like [`attention_decode_batch`],
-/// but query `b` attends only the first `lens[b]` cached tokens of the
-/// shared K/V — the continuous-batching shape, where co-scheduled tenants
-/// sit at different positions in the cache.
-///
-/// The K-decode is still shared across the whole batch (the score pass
-/// computes all `seq` rows once); raggedness is applied afterwards: each
-/// query's softmax runs over its own prefix and the tail weights are
-/// exactly zero, so the value-pass GeMM contributes nothing beyond
-/// `lens[b]`. A query with `lens[b] == seq` goes through *identical*
-/// arithmetic to [`attention_decode_batch`], and every lane's result is
-/// bitwise independent of the other lanes in the batch — the serving
-/// scheduler's parity contract.
-///
-/// # Errors
-///
-/// Returns [`KernelError::ShapeMismatch`] on inconsistent shapes or
-/// `lens` length, and [`KernelError::InvalidInput`] when any length is 0
-/// or exceeds the cached sequence.
-pub fn attention_decode_ragged(
-    qs: &Tensor2D,
-    lens: &[usize],
-    kq: &QuantizedTensor,
-    vq: &QuantizedTensor,
-    blocking: &HostBlocking,
-) -> Result<Tensor2D> {
-    failpoint("host.attention_ragged")?;
-    if lens.len() != qs.rows() {
-        return Err(KernelError::ShapeMismatch {
-            what: "one softmax length per query row",
-        });
-    }
-    let seq = kq.shape().0;
-    if lens.iter().any(|&l| l == 0 || l > seq) {
-        return Err(KernelError::InvalidInput {
-            what: "softmax lengths must be in 1..=seq",
-        });
-    }
-    attention_batch_inner(qs, Some(lens), kq, vq, blocking)
-}
-
-/// Shared body of [`attention_decode_batch`] / [`attention_decode_ragged`]
-/// (`lens: None` means every query attends the full cache).
-fn attention_batch_inner(
-    qs: &Tensor2D,
-    lens: Option<&[usize]>,
-    kq: &QuantizedTensor,
-    vq: &QuantizedTensor,
-    blocking: &HostBlocking,
-) -> Result<Tensor2D> {
-    if kq.shape() != vq.shape() || qs.cols() != kq.shape().1 {
-        return Err(KernelError::ShapeMismatch {
-            what: "qs/K/V shapes disagree",
-        });
-    }
-    let seq = kq.shape().0;
-    // `rows × batch` scores, transposed to query-major for the softmax and
-    // the GeMM value pass.
-    let mut scores = gemv_lut_batch(kq, qs, blocking)?.transposed();
-    let scale = 1.0 / (qs.cols() as f32).sqrt();
-    for b in 0..scores.rows() {
-        let len = lens.map_or(seq, |l| l[b]);
-        let srow = scores.row_mut(b);
-        for s in srow[..len].iter_mut() {
-            *s *= scale;
-        }
-        linalg::softmax_inplace(&mut srow[..len]);
-        // Beyond the query's prefix the weights are exactly zero, so the
-        // value pass adds nothing there (0·v contributions are exact).
-        srow[len..].fill(0.0);
-    }
-    gemm_fused(&scores, vq, blocking)
-}
-
 /// A per-group residual left unquantized because the packed codes alone
 /// reconstructed the sub-vector too poorly (the outlier channel of
 /// VecInfer-style KV VQ): `values` is added on top of the decoded codes
@@ -857,12 +763,11 @@ pub struct OutlierResidual {
     pub values: Vec<f32>,
 }
 
-/// One query's private KV extension for
-/// [`attention_decode_ragged_tailed`]: `rows` appended tokens folded into
-/// packed codes (encoded against the **shared context's** codebooks, so
-/// the kernel reuses the already-resident tables), sparse per-group
-/// outlier residuals on top, and an unquantized f32 tail window of the
-/// newest tokens.
+/// One query's private KV extension for [`attention_decode`]: `rows`
+/// appended tokens folded into packed codes (encoded against the **shared
+/// context's** codebooks, so the kernel reuses the already-resident
+/// tables), sparse per-group outlier residuals on top, and an unquantized
+/// f32 tail window of the newest tokens.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RaggedExt<'a> {
     /// Folded (packed) extension rows.
@@ -895,6 +800,13 @@ impl RaggedExt<'_> {
 
     fn validate(&self, kq: &QuantizedTensor) -> Result<()> {
         let cfg = kq.config();
+        // An empty extension decodes nothing, so any context scope is fine.
+        if !self.is_empty() && matches!(cfg.scope, CodebookScope::PerTile { .. }) {
+            return Err(KernelError::InvalidInput {
+                what: "per-tile codebook scopes are row-dependent; live-KV extensions \
+                       require a row-invariant scope (PerTensor or PerChannelGroup)",
+            });
+        }
         let groups = kq.col_groups();
         let head_dim = kq.shape().1;
         for codes in [self.k_codes, self.v_codes] {
@@ -965,41 +877,33 @@ fn ext_row_score(
     acc
 }
 
-/// Ragged batched attention decode over a shared quantized context
-/// **plus per-query private KV extensions** — the live-KV serving shape.
-///
-/// Query `b` attends `lens[b]` tokens of the shared packed context
-/// followed by its own [`RaggedExt`]: folded rows decoded against the
-/// context's codebooks (+ sparse outlier residuals), then the f32 tail
-/// window spliced in after the LUT score pass. One softmax spans the
-/// whole attended sequence; the context's value pass stays the
-/// panel-blocked [`gemm_fused`], the extension's value pass is
-/// per-query [`Codebook::axpy`] expansion plus dense tail accumulation.
-///
-/// With every extension empty the arithmetic is **identical** to
-/// [`attention_decode_ragged`]: same score source, same scale and
-/// softmax, same value GeMM — so turning the live-KV path on without
-/// appending anything is bitwise invisible.
-///
-/// [`Codebook::axpy`]: vqllm_vq::Codebook::axpy
+/// Checks the inputs of one batched attention decode: a non-empty batch,
+/// one prefix length in `1..=seq` per query row, K/V/query shapes that
+/// agree, and `exts` either empty or one well-formed extension per query
+/// row. [`attention_decode`] and the backends' dequantize reference both
+/// run it, so they accept and reject exactly the same inputs.
 ///
 /// # Errors
 ///
-/// Returns [`KernelError::ShapeMismatch`] /
-/// [`KernelError::InvalidInput`] on inconsistent shapes, lengths, or
-/// extensions that do not match the context's VQ configuration.
-pub fn attention_decode_ragged_tailed(
+/// Returns [`KernelError::InvalidInput`] for an empty batch, a length
+/// outside `1..=seq`, or a non-empty extension on a per-tile context or
+/// with outliers outside its folded rows, and
+/// [`KernelError::ShapeMismatch`] for any disagreeing shape or count.
+pub(crate) fn validate_attention(
     qs: &Tensor2D,
     lens: &[usize],
     exts: &[RaggedExt<'_>],
     kq: &QuantizedTensor,
     vq: &QuantizedTensor,
-    blocking: &HostBlocking,
-) -> Result<Tensor2D> {
-    failpoint("host.attention_ragged")?;
-    if lens.len() != qs.rows() || exts.len() != qs.rows() {
+) -> Result<()> {
+    if qs.rows() == 0 {
+        return Err(KernelError::InvalidInput {
+            what: "empty query batch",
+        });
+    }
+    if lens.len() != qs.rows() || !(exts.is_empty() || exts.len() == qs.rows()) {
         return Err(KernelError::ShapeMismatch {
-            what: "one prefix length and one extension per query row",
+            what: "one prefix length and one extension (or none) per query row",
         });
     }
     if kq.shape() != vq.shape() || qs.cols() != kq.shape().1 {
@@ -1013,32 +917,67 @@ pub fn attention_decode_ragged_tailed(
             what: "softmax lengths must be in 1..=seq",
         });
     }
+    exts.iter().try_for_each(|ext| ext.validate(kq))
+}
+
+/// Batched fused attention decode over shared quantized K/V caches
+/// (`seq × head_dim` each) — the one kernel behind every multi-query
+/// shape. `qs` holds one query row per sequence (`batch × head_dim`);
+/// query `b` attends the first `lens[b]` cached tokens, followed by its
+/// private [`RaggedExt`] when `exts` is non-empty (one per query row).
+/// Returns `batch × head_dim` outputs.
+///
+/// * Full batch: every `lens[b] == seq`, no extensions.
+/// * Ragged (continuous batching): co-scheduled tenants sit at different
+///   positions in the shared cache.
+/// * Live KV: each query's extension — folded rows decoded against the
+///   context's codebooks (+ sparse outlier residuals), then the f32 tail
+///   window — is spliced in after the LUT score pass.
+///
+/// K's packed codes are decoded **once** for the whole batch
+/// ([`gemv_lut_batch`] computes all `seq` rows); one softmax per query
+/// spans its attended prefix plus extension, and weights beyond the
+/// prefix are exactly zero, so the panel-blocked [`gemm_fused`] value
+/// pass adds nothing there (0·v contributions are exact). The extension's
+/// value pass is per-query [`Codebook::axpy`] expansion plus dense tail
+/// accumulation. An empty extension leaves the arithmetic untouched, so
+/// the shapes above agree bitwise wherever they overlap, and every lane's
+/// result is bitwise independent of the other lanes in the batch — the
+/// serving scheduler's parity contract.
+///
+/// [`Codebook::axpy`]: vqllm_vq::Codebook::axpy
+///
+/// # Errors
+///
+/// Returns [`KernelError::InvalidInput`] for an empty batch, a length
+/// outside `1..=seq`, or a non-empty extension on a per-tile context or
+/// with outliers outside its folded rows, and
+/// [`KernelError::ShapeMismatch`] for any disagreeing shape or count.
+pub fn attention_decode(
+    qs: &Tensor2D,
+    lens: &[usize],
+    exts: &[RaggedExt<'_>],
+    kq: &QuantizedTensor,
+    vq: &QuantizedTensor,
+    blocking: &HostBlocking,
+) -> Result<Tensor2D> {
+    failpoint("host.attention_ragged")?;
+    validate_attention(qs, lens, exts, kq, vq)?;
     let cfg = kq.config();
-    if matches!(cfg.scope, CodebookScope::PerTile { .. }) {
-        return Err(KernelError::InvalidInput {
-            what: "per-tile codebook scopes are row-dependent; live-KV extensions \
-                   require a row-invariant scope (PerTensor or PerChannelGroup)",
-        });
-    }
-    for ext in exts {
-        ext.validate(kq)?;
-    }
     let d = qs.cols();
     let vs = cfg.vector_size;
     let groups = kq.col_groups();
     let k_books = kq.codebooks();
     let v_books = vq.codebooks();
 
-    // Shared context score pass: one batched LUT GeMV, exactly as the
-    // extension-free kernel computes it.
+    // Shared context score pass: one batched LUT GeMV over all `seq` rows.
     let mut scores = gemv_lut_batch(kq, qs, blocking)?.transposed();
     let scale = 1.0 / (d as f32).sqrt();
     // Per-query softmax weights over the extension (folded + tail),
     // saved for the value pass.
     let mut ext_weights: Vec<Vec<f32>> = Vec::with_capacity(exts.len());
-    for b in 0..scores.rows() {
-        let ext = &exts[b];
-        let len = lens[b];
+    for (b, &len) in lens.iter().enumerate() {
+        let ext = exts.get(b).copied().unwrap_or_default();
         let q = qs.row(b);
         // Concatenated score row: [context prefix | folded ext | f32 tail].
         let mut srow = Vec::with_capacity(len + ext.len());
@@ -1260,7 +1199,7 @@ mod tests {
         let qs = Tensor2D::from_fn(5, 32, |b, d| ((b * 17 + d) as f32 * 0.29).cos());
         for threads in [1usize, 3] {
             let blocking = HostBlocking::default().with_threads(threads);
-            let batch = attention_decode_batch(&qs, &kq, &vq, &blocking).unwrap();
+            let batch = attention_decode(&qs, &[320; 5], &[], &kq, &vq, &blocking).unwrap();
             assert_eq!(batch.shape(), (5, 32));
             for b in 0..qs.rows() {
                 let single = attention_decode_fused(qs.row(b), &kq, &vq, &blocking).unwrap();
@@ -1282,7 +1221,7 @@ mod tests {
         let qs = Tensor2D::from_fn(4, 32, |b, d| ((b * 19 + d) as f32 * 0.27).sin());
         let lens = [17usize, 320, 40, 1];
         let blocking = HostBlocking::default();
-        let out = attention_decode_ragged(&qs, &lens, &kq, &vq, &blocking).unwrap();
+        let out = attention_decode(&qs, &lens, &[], &kq, &vq, &blocking).unwrap();
         let kd = kq.dequantize().unwrap();
         let vd = vq.dequantize().unwrap();
         for (b, &len) in lens.iter().enumerate() {
@@ -1298,22 +1237,17 @@ mod tests {
                 "query {b} len {len}"
             );
         }
-        // Full-length raggedness is the same arithmetic as the plain batch
-        // path — bitwise.
-        let full = attention_decode_batch(&qs, &kq, &vq, &blocking).unwrap();
-        let ragged_full = attention_decode_ragged(&qs, &[320; 4], &kq, &vq, &blocking).unwrap();
-        assert_eq!(full, ragged_full);
         // And each lane is bitwise independent of its batch-mates: the
         // request alone (batch 1, same length) reproduces its row exactly.
         for (b, &len) in lens.iter().enumerate() {
             let solo_q = Tensor2D::from_vec(1, 32, qs.row(b).to_vec()).unwrap();
-            let solo = attention_decode_ragged(&solo_q, &[len], &kq, &vq, &blocking).unwrap();
+            let solo = attention_decode(&solo_q, &[len], &[], &kq, &vq, &blocking).unwrap();
             assert_eq!(out.row(b), solo.row(0), "lane {b} not batch-invariant");
         }
         // Degenerate lengths are rejected.
-        assert!(attention_decode_ragged(&qs, &[0, 1, 1, 1], &kq, &vq, &blocking).is_err());
-        assert!(attention_decode_ragged(&qs, &[321, 1, 1, 1], &kq, &vq, &blocking).is_err());
-        assert!(attention_decode_ragged(&qs, &[1, 1], &kq, &vq, &blocking).is_err());
+        assert!(attention_decode(&qs, &[0, 1, 1, 1], &[], &kq, &vq, &blocking).is_err());
+        assert!(attention_decode(&qs, &[321, 1, 1, 1], &[], &kq, &vq, &blocking).is_err());
+        assert!(attention_decode(&qs, &[1, 1], &[], &kq, &vq, &blocking).is_err());
     }
 
     /// Encodes f32 rows against a codebook set the way the live-KV fold
@@ -1379,11 +1313,10 @@ mod tests {
         let lens = [17usize, 320, 40];
         let blocking = HostBlocking::default();
 
-        // Empty extensions: bitwise the plain ragged kernel.
+        // Empty extensions: bitwise no extensions at all.
         let empty = vec![RaggedExt::default(); 3];
-        let tailed =
-            attention_decode_ragged_tailed(&qs, &lens, &empty, &kq, &vq, &blocking).unwrap();
-        let plain = attention_decode_ragged(&qs, &lens, &kq, &vq, &blocking).unwrap();
+        let tailed = attention_decode(&qs, &lens, &empty, &kq, &vq, &blocking).unwrap();
+        let plain = attention_decode(&qs, &lens, &[], &kq, &vq, &blocking).unwrap();
         assert_eq!(tailed, plain, "empty extensions must be invisible");
 
         // Per-query extensions: query 0 gets 3 folded rows (keep=0 → every
@@ -1428,7 +1361,7 @@ mod tests {
                 v_tail: &ext_rows[..4],
             },
         ];
-        let out = attention_decode_ragged_tailed(&qs, &lens, &exts, &kq, &vq, &blocking).unwrap();
+        let out = attention_decode(&qs, &lens, &exts, &kq, &vq, &blocking).unwrap();
 
         // Oracle: dequantize the context prefix, splice the extension's
         // reconstruction and tail underneath, run the dense reference.
@@ -1487,7 +1420,7 @@ mod tests {
         // Lane independence: each query solo reproduces its batched row.
         for (b, ext) in exts.iter().enumerate() {
             let solo_q = Tensor2D::from_vec(1, d, qs.row(b).to_vec()).unwrap();
-            let solo = attention_decode_ragged_tailed(
+            let solo = attention_decode(
                 &solo_q,
                 &[lens[b]],
                 std::slice::from_ref(ext),
@@ -1509,7 +1442,7 @@ mod tests {
             k_tail: &[],
             v_tail: &[],
         };
-        assert!(attention_decode_ragged_tailed(
+        assert!(attention_decode(
             &qs,
             &lens,
             &[bad_stream, exts[1], exts[2]],
@@ -1590,6 +1523,7 @@ mod tests {
         assert!(gemv_lut_batch(&wq, &Tensor2D::zeros(2, 3), &b).is_err());
         let other = quantized(cfg, 32, 32, 2);
         assert!(attention_decode_fused(&[0.0; 32], &wq, &other, &b).is_err());
-        assert!(attention_decode_batch(&Tensor2D::zeros(2, 32), &wq, &other, &b).is_err());
+        assert!(attention_decode(&Tensor2D::zeros(2, 32), &[1, 1], &[], &wq, &other, &b).is_err());
+        assert!(attention_decode(&Tensor2D::zeros(0, 32), &[], &[], &wq, &wq, &b).is_err());
     }
 }

@@ -11,7 +11,6 @@
 //! below.
 
 use crate::pipeline::QuantScheme;
-use serde::{Deserialize, Serialize};
 use vqllm_tensor::{metrics, synth, Tensor2D};
 use vqllm_vq::scalar::{self, ScalarQuantConfig};
 use vqllm_vq::{VqAlgorithm, VqQuantizer};
@@ -36,7 +35,7 @@ pub fn project_kv_accuracy(kv_nmse: f64) -> f64 {
 }
 
 /// Measured reconstruction errors and the projected accuracy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccuracyResult {
     /// Normalized weight-reconstruction MSE (MSE / data variance).
     pub weight_nmse: f64,

@@ -7,10 +7,9 @@
 //! footprints at each precision, and those overheads.
 
 use crate::model::LlamaConfig;
-use serde::Serialize;
 
 /// Storage backing of the KV cache.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum KvStorage {
     /// FP16 (baseline).
     Fp16,
@@ -44,7 +43,7 @@ pub const DECODE_QUANT_OVERHEAD_US: f64 = 0.8;
 pub const PREFILL_QUANT_OVERHEAD_FRAC: f64 = 0.08;
 
 /// Geometry and footprint of a model-wide KV cache.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KvCache {
     /// Model architecture.
     pub model: LlamaConfig,

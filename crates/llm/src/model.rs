@@ -1,9 +1,7 @@
 //! Llama model configurations.
 
-use serde::Serialize;
-
 /// Architecture of a Llama-family model (the paper evaluates 7B and 65B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LlamaConfig {
     /// Model name for reports.
     pub name: &'static str,

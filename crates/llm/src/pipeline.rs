@@ -7,7 +7,6 @@
 
 use crate::kv::{KvStorage, DECODE_QUANT_OVERHEAD_US, PREFILL_QUANT_OVERHEAD_FRAC};
 use crate::model::LlamaConfig;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use vqllm_core::plan_cache::{self, PlanCache, PlanKey, PlanRequest};
 use vqllm_core::{ComputeOp, KernelPlan, OptLevel, ProfileSummary};
@@ -18,7 +17,7 @@ use vqllm_kernels::{elementwise, fp16, AccessProfile};
 use vqllm_vq::VqAlgorithm;
 
 /// Which quantization scheme the pipeline runs under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QuantScheme {
     /// FP16 weights and KV cache (cutlass + flash kernels).
     Fp16,
@@ -89,7 +88,7 @@ impl QuantScheme {
 }
 
 /// Latency breakdown of one decode step (microseconds).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DecodeBreakdown {
     /// All linear layers across all decoder layers.
     pub linear_us: f64,
@@ -109,7 +108,7 @@ impl DecodeBreakdown {
 }
 
 /// End-to-end generation report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E2eReport {
     /// Scheme name.
     pub scheme: String,

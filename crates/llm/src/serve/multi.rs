@@ -36,13 +36,13 @@ use crate::serve::request::{
 use crate::serve::tenant_kv::TenantKv;
 use crate::serve::{KvQuantMode, ServeConfig, SharedContext};
 use crate::{LlmError, Result};
-use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use vqllm_core::failpoint;
 use vqllm_core::plan_cache::PlanKey;
 use vqllm_core::{ComputeOp, KernelPlan, OptLevel, ProfileSummary};
+use vqllm_kernels::host_exec::RaggedExt;
 use vqllm_kernels::AccessProfile;
 use vqllm_tensor::Tensor2D;
 use vqllm_vq::stats::AccessHistogram;
@@ -121,7 +121,7 @@ impl ProfileConfig {
 }
 
 /// Per-context feedback counters, cheap to copy out for reporting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ContextStats {
     /// Requests admitted against this context.
     pub submitted: u64,
@@ -258,7 +258,7 @@ struct Active {
 }
 
 /// What one [`MultiServer::step`] did.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StepReport {
     /// Scheduler step index (monotonic, counts non-idle steps and idle
     /// polls alike).
@@ -287,7 +287,7 @@ pub struct StepReport {
 }
 
 /// Cumulative scheduler counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ServerStats {
     /// Requests accepted into the queue.
     pub submitted: u64,
@@ -902,48 +902,31 @@ impl MultiServer {
                     Tensor2D::from_fn(idxs.len(), head_dim, |i, d| running[idxs[i]].h[d])
                 };
                 // Teacher-forced decode attends a growing prefix of the
-                // shared context (`kv.seq`); live-KV decode pins the
-                // shared prefix and splices each tenant's private
-                // extension (folded codes + outliers + f32 tail) in.
-                let live_kv = self.config.kv_quant != KvQuantMode::Off;
-                let lens: Vec<usize> = idxs
+                // shared context (`kv.seq`) with no extension; live-KV
+                // decode pins the shared prefix and splices each tenant's
+                // private extension (folded codes + outliers + f32 tail)
+                // in.
+                let (lens, exts): (Vec<usize>, Vec<_>) = idxs
                     .iter()
                     .map(|&i| {
                         let r = &self.running[i];
-                        if live_kv {
-                            r.prefix_len
-                        } else {
-                            r.kv.seq
+                        match &r.live {
+                            Some(live) => (r.prefix_len, live.ext()),
+                            None => (r.kv.seq, RaggedExt::default()),
                         }
                     })
-                    .collect();
-                let attn = if live_kv {
-                    let exts: Vec<_> = idxs
-                        .iter()
-                        .map(|&i| {
-                            self.running[i]
-                                .live
-                                .as_ref()
-                                .map(TenantKv::ext)
-                                .unwrap_or_default()
-                        })
-                        .collect();
-                    backend
-                        .run_attention_ragged_tailed(
-                            &gpu,
-                            &attn_plan,
-                            &qs,
-                            &lens,
-                            &exts,
-                            ctx.kq(),
-                            ctx.vq(),
-                        )?
-                        .0
-                } else {
-                    backend
-                        .run_attention_ragged(&gpu, &attn_plan, &qs, &lens, ctx.kq(), ctx.vq())?
-                        .0
-                };
+                    .unzip();
+                let attn = backend
+                    .run_attention_ragged_tailed(
+                        &gpu,
+                        &attn_plan,
+                        &qs,
+                        &lens,
+                        &exts,
+                        ctx.kq(),
+                        ctx.vq(),
+                    )?
+                    .0;
                 let ys = backend.run_gemm(&gpu, &linear_plan, &attn, ctx.wq())?.0;
                 let budget = self.config.kv_budget_bytes;
 

@@ -9,7 +9,7 @@
 //! Folding re-encodes against the *shared context's* codebooks
 //! ([`SharedContext::kq`]/[`SharedContext::vq`]) — the paper's amortized
 //! codebook reuse: no per-token re-clustering, and the attention kernel
-//! ([`attention_decode_ragged_tailed`]) decodes extension rows from
+//! ([`attention_decode`]) decodes extension rows from
 //! tables it already holds for the context. Groups the codebooks
 //! reconstruct too poorly keep their exact f32 residual in a sparse
 //! outlier channel, so one pathological token cannot poison a tenant's
@@ -21,7 +21,7 @@
 //! tail) so admission and the byte-denominated KV budget can reason in
 //! real memory instead of token counts.
 //!
-//! [`attention_decode_ragged_tailed`]: vqllm_kernels::host_exec::attention_decode_ragged_tailed
+//! [`attention_decode`]: vqllm_kernels::host_exec::attention_decode
 //! [`accuracy::project_kv_accuracy`]: crate::accuracy::project_kv_accuracy
 
 use crate::serve::{KvQuantMode, SharedContext};

@@ -6,10 +6,8 @@
 //! quantization) are expressed in bits so that e.g. AQLM's 12-bit packed
 //! indices have an exact size.
 
-use serde::{Deserialize, Serialize};
-
 /// Logical storage type of a tensor or index stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DType {
     /// IEEE-754 binary32.
     F32,

@@ -1,10 +1,9 @@
 //! The five algorithm presets of the paper's Tbl. II.
 
 use crate::config::{CodebookScope, VqConfig};
-use serde::{Deserialize, Serialize};
 
 /// State-of-the-art VQ algorithms the paper evaluates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VqAlgorithm {
     /// QuiP#-4: weight quantization, vector 8, 65536-entry lattice codebook
     /// (256 stored entries + sign bits), 2 residuals → 4-bit equivalent.

@@ -10,12 +10,11 @@
 use crate::config::{CodebookScope, VqConfig};
 use crate::kmeans;
 use crate::{Result, VqError};
-use serde::{Deserialize, Serialize};
 
 /// One trained codebook: `stored_entries × vector_size` centroids, plus the
 /// optional QuiP#-style lattice extension where logical entries are a
 /// stored entry with a per-element sign pattern applied.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Codebook {
     vector_size: usize,
     entries: Vec<f32>,
@@ -313,7 +312,7 @@ impl Codebook {
 }
 
 /// All codebooks of one quantized tensor: `books[residual][scope]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CodebookSet {
     config: VqConfig,
     shape: (usize, usize),

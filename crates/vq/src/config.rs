@@ -5,10 +5,9 @@
 //! AQLM, GPTVQ and CQ).
 
 use crate::{Result, VqError};
-use serde::{Deserialize, Serialize};
 
 /// Which slice of a tensor shares one codebook (per residual level).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CodebookScope {
     /// One codebook for the whole tensor (QuiP#, AQLM). No duplicated
     /// Global→Shared traffic, but large per-block footprint.
@@ -31,7 +30,7 @@ pub enum CodebookScope {
 }
 
 /// A full VQ algorithm configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VqConfig {
     /// Elements quantized at once (paper: *vector size*).
     pub vector_size: usize,

@@ -7,10 +7,9 @@
 //! kernel would decode with shift/mask ops.
 
 use crate::{Result, VqError};
-use serde::{Deserialize, Serialize};
 
 /// A bit-packed stream of equal-width indices.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedIndices {
     bits: u8,
     len: usize,

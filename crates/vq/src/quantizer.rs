@@ -11,7 +11,6 @@ use crate::config::VqConfig;
 use crate::kmeans::{kmeans, KmeansOptions};
 use crate::packing::PackedIndices;
 use crate::{Result, VqError};
-use serde::{Deserialize, Serialize};
 use vqllm_tensor::Tensor2D;
 
 /// Trains codebooks and encodes tensors under one [`VqConfig`].
@@ -145,7 +144,7 @@ fn scope_index_static(cfg: &VqConfig, shape: (usize, usize), row: usize, col: us
 }
 
 /// A VQ-compressed tensor: packed index streams plus trained codebooks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedTensor {
     config: VqConfig,
     shape: (usize, usize),

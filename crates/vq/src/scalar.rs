@@ -7,11 +7,10 @@
 //! corners never land on correlated-data outliers.
 
 use crate::{Result, VqError};
-use serde::{Deserialize, Serialize};
 use vqllm_tensor::Tensor2D;
 
 /// Group-wise uniform integer quantization parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ScalarQuantConfig {
     /// Bits per element (4 for AWQ/QoQ's weight & KV formats).
     pub bits: u32,
@@ -49,7 +48,7 @@ impl ScalarQuantConfig {
 }
 
 /// A scalar-quantized tensor: packed levels plus per-group scale/zero.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalarQuantized {
     config: ScalarQuantConfig,
     shape: (usize, usize),

@@ -9,11 +9,10 @@
 //!   justifies reordering at the *tensor* level rather than per block.
 
 use crate::quantizer::QuantizedTensor;
-use serde::{Deserialize, Serialize};
 
 /// Classification of one entry's access frequency (paper §IV: cold /
 /// medium / hot).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EntryClass {
     /// Above µ+3σ: cached in registers.
     Hot,
@@ -24,7 +23,7 @@ pub enum EntryClass {
 }
 
 /// Access counts per stored codebook entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccessHistogram {
     counts: Vec<u64>,
 }

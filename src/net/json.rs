@@ -1,8 +1,8 @@
 //! Minimal JSON for the line protocol.
 //!
-//! The vendored `serde` is derive-only (the traits are markers — see
-//! `vendor/README.md`), so the network layer carries its own tiny JSON
-//! value type, parser, and writer. It supports exactly what the protocol
+//! The workspace builds offline with no serialization crate, so the
+//! network layer carries its own tiny JSON value type, parser, and
+//! writer. It supports exactly what the protocol
 //! needs: objects, arrays, finite numbers, strings with the standard
 //! escapes, booleans, and `null`.
 //!

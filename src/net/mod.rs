@@ -33,8 +33,8 @@
 //!   `rejected`/`status`/`stats`/`error` out).
 //! * [`server`] — the `std::net::TcpListener` front end tying it
 //!   together.
-//! * [`json`] — the hand-rolled JSON layer (the vendored `serde` is
-//!   derive-only) with bitwise-exact `f32` round-trips.
+//! * [`json`] — the hand-rolled JSON layer with bitwise-exact `f32`
+//!   round-trips.
 //!
 //! The decode bytes a remote client receives are **bitwise identical**
 //! to a solo in-process `Session` drain of the same request —

@@ -10,11 +10,14 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use vq_llm::kernels::host_exec::{self, HostBlocking};
+use vq_llm::kernels::host_exec::{self, HostBlocking, RaggedExt};
 use vq_llm::tensor::{linalg, metrics, synth};
 use vq_llm::vq::config::CodebookScope;
 use vq_llm::vq::VqQuantizer;
-use vq_llm::{Backend, BackendKind, ComputeOp, CpuBackend, GpuSpec, KernelPlan, Session, VqConfig};
+use vq_llm::{
+    Backend, BackendKind, ComputeOp, CpuBackend, GpuSpec, KernelPlan, PerfModelBackend, Session,
+    VqConfig,
+};
 
 /// The randomized configuration space: residuals × scopes × lattice.
 fn config(case: usize) -> VqConfig {
@@ -164,7 +167,10 @@ proptest! {
 
     /// Ragged `CpuBackend::run_attention_ragged` (per-query softmax
     /// lengths over shared K/V — mask/short-seq tenants) vs looping the
-    /// single-query fused path over row-truncated caches.
+    /// single-query fused path over row-truncated caches, plus the
+    /// identities that make it one batched attention path on both
+    /// backends: empty extensions are bitwise no extensions, and full
+    /// lengths are bitwise the unmasked batch.
     #[test]
     fn ragged_attention_batch_matches_looped_single(
         case in 0usize..8,
@@ -211,12 +217,31 @@ proptest! {
                 "{} {}x{} lane {} len {}", cfg, seq, head_dim, b, len
             );
         }
-        // The full-length lane must match the unmasked batch kernel
-        // bitwise (same arithmetic path).
+        let no_exts = vec![RaggedExt::default(); batch];
+        let model = PerfModelBackend::new();
+        let backends: [&dyn Backend; 2] = [&backend, &model];
+        for be in backends {
+            let (ragged, _) = be
+                .run_attention_ragged(&gpu, &plan, &qs, &lens, &kq, &vq)
+                .expect("run_attention_ragged");
+            let (tailed, _) = be
+                .run_attention_ragged_tailed(&gpu, &plan, &qs, &lens, &no_exts, &kq, &vq)
+                .expect("run_attention_ragged_tailed");
+            prop_assert_eq!(
+                tailed.as_slice(),
+                ragged.as_slice(),
+                "{} {} {}x{}: empty extensions changed bytes", be.name(), cfg, seq, head_dim
+            );
+        }
+        // Full lengths are the unmasked batch kernel, bitwise, on every
+        // lane.
         let (full, _) = backend
             .run_attention_batch(&gpu, &plan, &qs, &kq, &vq)
             .expect("run_attention_batch");
-        prop_assert_eq!(out.row(0), full.row(0));
+        let (ragged_full, _) = backend
+            .run_attention_ragged(&gpu, &plan, &qs, &vec![seq; batch], &kq, &vq)
+            .expect("run_attention_ragged");
+        prop_assert_eq!(full.as_slice(), ragged_full.as_slice());
     }
 
     /// The serving layer's replan guarantee rests on this invariant: host
@@ -253,10 +278,10 @@ proptest! {
             HostBlocking { slab_bytes: 256 << 10, threads: 4 },
         ];
         let base_attn =
-            host_exec::attention_decode_ragged(&qs, &lens, &kq, &vq, &blockings[0]).unwrap();
+            host_exec::attention_decode(&qs, &lens, &[], &kq, &vq, &blockings[0]).unwrap();
         let base_gemm = host_exec::gemm_fused(&a, &kq, &blockings[0]).unwrap();
         for b in &blockings[1..] {
-            let attn = host_exec::attention_decode_ragged(&qs, &lens, &kq, &vq, b).unwrap();
+            let attn = host_exec::attention_decode(&qs, &lens, &[], &kq, &vq, b).unwrap();
             let gemm = host_exec::gemm_fused(&a, &kq, b).unwrap();
             prop_assert_eq!(
                 base_attn.as_slice(),

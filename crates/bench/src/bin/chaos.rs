@@ -6,7 +6,7 @@
 //! * **kernel panic storm** — a burst of forced group panics quarantines
 //!   each victim with a typed `internal` rejection; the driver keeps
 //!   serving and healthy follow-ups decode **bitwise identical** to a
-//!   solo `Session` drain;
+//!   solo one-context engine drain;
 //! * **wedged step** — an injected in-step delay blows the configured
 //!   `step_timeout_us`; the watchdog sheds the running group (typed) and
 //!   trips the breaker, after which healthy traffic completes normally;
@@ -101,16 +101,13 @@ fn query(tenant: u64) -> Vec<f32> {
         .collect()
 }
 
-/// Drains one request alone through `Session::serve` — the byte-level
-/// reference every healthy request is gated against.
+/// Drains one request alone through a one-context engine at batch 1 —
+/// the byte-level reference every healthy request is gated against.
 fn solo_reference(req: DecodeRequest) -> Vec<Vec<f32>> {
-    let (session, ctx) = harness();
-    let mut srv = session
-        .serve(ctx.clone(), ServeConfig::new(1, 1))
-        .expect("solo server");
-    let handle = srv.submit(req).expect("admitted");
-    srv.run_until_drained().expect("drained");
-    srv.take_output(&handle).expect("finished").steps
+    let (mut engine, h) = engine(1, 1);
+    let ticket = engine.try_submit(h, req).expect("admitted");
+    engine.run_until_drained().expect("drained");
+    engine.take_output(&ticket).expect("finished").steps
 }
 
 /// The OK:/FAIL: gate ledger; any failure flips the process exit code

@@ -3,7 +3,7 @@
 //! Two scenarios, both parity-asserted before timing anything:
 //!
 //! 1. **Single context** — tokens/second of the batched request scheduler
-//!    (`Session::serve`, continuous batching at `max_batch = 8`) against
+//!    (a one-context `Engine`, continuous batching at `max_batch = 8`) against
 //!    per-request looping (the same requests, the same kernels, but one
 //!    request in flight at a time — what a naive server would do), over a
 //!    shared pre-quantized context. The batched scheduler wins because
@@ -46,14 +46,15 @@
 //! Both drivers of each scenario run the identical scheduler machinery,
 //! so the measured ratios isolate exactly what batch formation buys.
 
+use std::sync::Arc;
 use std::time::Instant;
 use vq_llm::llm::accuracy::project_kv_accuracy;
 use vq_llm::net::json::Json;
 use vq_llm::net::percentile;
 use vq_llm::tensor::synth;
 use vq_llm::{
-    ContextHandle, DecodeRequest, Engine, KvQuantMode, ProfileConfig, ServeConfig, Session,
-    SharedContext, VqAlgorithm,
+    ContextHandle, DecodeRequest, Engine, KvQuantMode, ProfileConfig, RequestHandle, ServeConfig,
+    Session, SharedContext, StepReport, VqAlgorithm,
 };
 use vqllm_bench::{BenchRecord, Report};
 
@@ -67,39 +68,47 @@ const GEN_TOKENS: usize = 24;
 const SEQ_B: usize = 768;
 const HEAD_DIM_B: usize = 32;
 
-fn requests_from(base: usize) -> Vec<DecodeRequest> {
+/// `sin(i · step)` computed at run time: a call the compiler folds to a
+/// constant can round differently from the library `sinf` by an ulp, so
+/// without the barrier the synthetic queries — and every decoded byte
+/// downstream — would depend on how the bench was optimized.
+fn wave(i: usize, step: f32) -> f32 {
+    std::hint::black_box(i as f32 * step).sin()
+}
+
+/// One request, tagged with the index of the context it targets.
+type Traffic = Vec<(usize, DecodeRequest)>;
+
+fn requests_from(base: usize) -> Traffic {
     (base..base + TENANTS)
         .map(|t| {
-            let query: Vec<f32> = (0..HEAD_DIM)
-                .map(|d| ((t * 13 + d) as f32 * 0.21).sin())
-                .collect();
+            let query: Vec<f32> = (0..HEAD_DIM).map(|d| wave(t * 13 + d, 0.21)).collect();
             // Ragged context positions: tenants sit at different depths of
             // the shared cache, like real continuous batching.
-            DecodeRequest::new(t as u64, query, 640 + 40 * (t % TENANTS), GEN_TOKENS)
+            let req = DecodeRequest::new(t as u64, query, 640 + 40 * (t % TENANTS), GEN_TOKENS);
+            (0, req)
         })
         .collect()
 }
 
-fn requests() -> Vec<DecodeRequest> {
+fn requests() -> Traffic {
     requests_from(0)
 }
 
 /// The mixed scenario's traffic: tenants alternate between the two
 /// contexts, ragged positions in both.
-fn mixed_requests() -> Vec<(bool, DecodeRequest)> {
+fn mixed_requests() -> Traffic {
     (0..TENANTS)
         .map(|t| {
-            let to_b = t % 2 == 1;
-            let (dim, base, stride) = if to_b {
+            let ctx = t % 2;
+            let (dim, base, stride) = if ctx == 1 {
                 (HEAD_DIM_B, 400, 30)
             } else {
                 (HEAD_DIM, 640, 40)
             };
-            let query: Vec<f32> = (0..dim)
-                .map(|d| ((t * 17 + d) as f32 * 0.23).sin())
-                .collect();
+            let query: Vec<f32> = (0..dim).map(|d| wave(t * 17 + d, 0.23)).collect();
             (
-                to_b,
+                ctx,
                 DecodeRequest::new(t as u64, query, base + stride * t, GEN_TOKENS),
             )
         })
@@ -127,29 +136,85 @@ fn quantize_context(session: &Session, seq: usize, dim: usize, seed: u64) -> Sha
     .expect("context")
 }
 
-/// Tokens/second of one full drain, best of `reps` (best-of suppresses
-/// shared-runner scheduling noise).
+/// A fresh engine over `ctxs` on the session's backend and plan cache.
+/// Profile feedback is off: plans come from the algorithms' synthetic
+/// default profiles and no step pays a profile check, so every driver of
+/// a scenario runs identical machinery.
+fn engine_over(
+    session: &Session,
+    ctxs: &[&SharedContext],
+    config: ServeConfig,
+) -> (Engine, Vec<ContextHandle>) {
+    let mut engine = Engine::builder()
+        .backend(Arc::clone(session.backend()))
+        .plan_cache(Arc::clone(session.plan_cache()))
+        .weight_algo(VqAlgorithm::Gptvq2)
+        .kv_algo(VqAlgorithm::Cq4)
+        .serve_config(config)
+        .profile_config(ProfileConfig::disabled())
+        .build()
+        .expect("engine");
+    let handles = ctxs
+        .iter()
+        .map(|ctx| engine.register_context((*ctx).clone()).expect("register"))
+        .collect();
+    (engine, handles)
+}
+
+/// Submits every request of `traffic` to its context.
+fn submit_all(engine: &mut Engine, ctxs: &[ContextHandle], traffic: Traffic) -> Vec<RequestHandle> {
+    traffic
+        .into_iter()
+        .map(|(c, r)| engine.try_submit(ctxs[c], r).expect("admitted"))
+        .collect()
+}
+
+/// Parity first: the measurement is meaningless if the schedulers
+/// disagree. A full-width drain of `traffic` and the same drain at
+/// `max_batch = 1` must produce identical bytes for every tenant (the
+/// scheduler's bitwise contract). Returns the full-width step reports.
+fn assert_parity(
+    session: &Session,
+    ctxs: &[&SharedContext],
+    traffic: fn() -> Traffic,
+) -> Vec<StepReport> {
+    let (mut batched, bh) = engine_over(session, ctxs, ServeConfig::new(TENANTS, TENANTS));
+    let (mut looped, lh) = engine_over(session, ctxs, ServeConfig::new(1, TENANTS));
+    let tb = submit_all(&mut batched, &bh, traffic());
+    let tl = submit_all(&mut looped, &lh, traffic());
+    let reports = batched.run_until_drained().expect("drain");
+    looped.run_until_drained().expect("drain");
+    for (b, l) in tb.iter().zip(&tl) {
+        let ob = batched.output(b).expect("output");
+        let ol = looped.output(l).expect("output");
+        assert_eq!(
+            ob.steps, ol.steps,
+            "batched scheduling changed decode bytes (tenant {})",
+            ob.tenant
+        );
+    }
+    reports
+}
+
+/// Tokens/second of one full drain of `traffic` over `ctxs`, best of
+/// `reps` (best-of suppresses shared-runner scheduling noise).
 fn tokens_per_s(
     session: &Session,
-    ctx: &SharedContext,
+    ctxs: &[&SharedContext],
+    traffic: fn() -> Traffic,
     max_batch: usize,
     reps: usize,
 ) -> (f64, u64) {
     let mut best = f64::INFINITY;
     let mut tokens = 0u64;
     for _ in 0..reps.max(1) {
-        let mut srv = session
-            .serve(ctx.clone(), ServeConfig::new(max_batch, TENANTS))
-            .expect("server");
-        let handles: Vec<_> = requests()
-            .into_iter()
-            .map(|r| srv.submit(r).expect("admitted"))
-            .collect();
+        let (mut engine, hs) = engine_over(session, ctxs, ServeConfig::new(max_batch, TENANTS));
+        let handles = submit_all(&mut engine, &hs, traffic());
         let t0 = Instant::now();
-        srv.run_until_drained().expect("drain");
+        engine.run_until_drained().expect("drain");
         best = best.min(t0.elapsed().as_secs_f64());
-        tokens = srv.stats().decoded_tokens;
-        assert!(handles.iter().all(|h| srv.output(h).is_some()));
+        tokens = engine.stats().decoded_tokens;
+        assert!(handles.iter().all(|h| engine.output(h).is_some()));
     }
     (tokens as f64 / best, tokens)
 }
@@ -160,69 +225,19 @@ fn tokens_per_s(
 /// every step decodes a full batch — the shape the tail-latency gate is
 /// about.
 fn step_profile(session: &Session, ctx: &SharedContext, max_batch: usize) -> (Vec<f64>, Vec<f64>) {
-    let mut srv = session
-        .serve(ctx.clone(), ServeConfig::new(max_batch, 2 * TENANTS))
-        .expect("server");
-    for r in requests_from(0).into_iter().chain(requests_from(TENANTS)) {
-        srv.submit(r).expect("admitted");
-    }
+    let (mut engine, hs) = engine_over(session, &[ctx], ServeConfig::new(max_batch, 2 * TENANTS));
+    let mut traffic = requests_from(0);
+    traffic.extend(requests_from(TENANTS));
+    submit_all(&mut engine, &hs, traffic);
     let mut latencies_us = Vec::new();
     let mut queue_depths = Vec::new();
-    while !srv.is_idle() {
+    while !engine.is_idle() {
         let t0 = Instant::now();
-        let r = srv.step().expect("step");
+        let r = engine.step().expect("step");
         latencies_us.push(t0.elapsed().as_secs_f64() * 1e6);
         queue_depths.push(r.queued as f64);
     }
     (latencies_us, queue_depths)
-}
-
-/// A fresh engine over both mixed-scenario contexts.
-fn mixed_engine(
-    session: &Session,
-    ctx_a: &SharedContext,
-    ctx_b: &SharedContext,
-    max_batch: usize,
-) -> (Engine, ContextHandle, ContextHandle) {
-    let mut engine = Engine::builder()
-        .backend(std::sync::Arc::clone(session.backend()))
-        .weight_algo(VqAlgorithm::Gptvq2)
-        .kv_algo(VqAlgorithm::Cq4)
-        .serve_config(ServeConfig::new(max_batch, TENANTS))
-        // Measured registration profiles but no mid-drain replan churn in
-        // the timed loop (replans are byte-invisible; still, keep the two
-        // drivers structurally identical).
-        .profile_config(ProfileConfig::disabled())
-        .build()
-        .expect("engine");
-    let ha = engine.register_context(ctx_a.clone()).expect("register A");
-    let hb = engine.register_context(ctx_b.clone()).expect("register B");
-    (engine, ha, hb)
-}
-
-/// Tokens/second of one mixed two-context engine drain, best of `reps`.
-fn mixed_tokens_per_s(
-    session: &Session,
-    ctx_a: &SharedContext,
-    ctx_b: &SharedContext,
-    max_batch: usize,
-    reps: usize,
-) -> (f64, u64) {
-    let mut best = f64::INFINITY;
-    let mut tokens = 0u64;
-    for _ in 0..reps.max(1) {
-        let (mut engine, ha, hb) = mixed_engine(session, ctx_a, ctx_b, max_batch);
-        let handles: Vec<_> = mixed_requests()
-            .into_iter()
-            .map(|(to_b, r)| engine.submit(if to_b { hb } else { ha }, r))
-            .collect();
-        let t0 = Instant::now();
-        engine.run_until_drained().expect("drain");
-        best = best.min(t0.elapsed().as_secs_f64());
-        tokens = engine.stats().decoded_tokens;
-        assert!(handles.iter().all(|h| engine.output(h).is_some()));
-    }
-    (tokens as f64 / best, tokens)
 }
 
 /// One full drain with live KV quantization on: compressed bytes per
@@ -237,19 +252,9 @@ struct LiveKvRun {
 }
 
 fn live_kv_run(session: &Session, ctx: &SharedContext, mode: KvQuantMode) -> LiveKvRun {
-    let mut engine = Engine::builder()
-        .backend(std::sync::Arc::clone(session.backend()))
-        .weight_algo(VqAlgorithm::Gptvq2)
-        .kv_algo(VqAlgorithm::Cq4)
-        .serve_config(ServeConfig::new(TENANTS, TENANTS).with_kv_quant(mode))
-        .profile_config(ProfileConfig::disabled())
-        .build()
-        .expect("engine");
-    let h = engine.register_context(ctx.clone()).expect("register");
-    let handles: Vec<_> = requests()
-        .into_iter()
-        .map(|r| engine.submit(h, r))
-        .collect();
+    let config = ServeConfig::new(TENANTS, TENANTS).with_kv_quant(mode);
+    let (mut engine, hs) = engine_over(session, &[ctx], config);
+    let handles = submit_all(&mut engine, &hs, requests());
     let t0 = Instant::now();
     engine.run_until_drained().expect("drain");
     let elapsed = t0.elapsed().as_secs_f64();
@@ -290,73 +295,21 @@ fn main() {
     let ctx = quantize_context(&session, SEQ, HEAD_DIM, 21);
     let ctx_b = quantize_context(&session, SEQ_B, HEAD_DIM_B, 31);
 
-    // Parity first: the measurement is meaningless if the schedulers
-    // disagree. The batched drain and the per-request drain must produce
-    // identical bytes for every tenant (the scheduler's bitwise contract).
-    {
-        let mut batched = session
-            .serve(ctx.clone(), ServeConfig::new(TENANTS, TENANTS))
-            .expect("server");
-        let mut looped = session
-            .serve(ctx.clone(), ServeConfig::new(1, TENANTS))
-            .expect("server");
-        let hb: Vec<_> = requests()
-            .into_iter()
-            .map(|r| batched.submit(r).expect("admitted"))
-            .collect();
-        let hl: Vec<_> = requests()
-            .into_iter()
-            .map(|r| looped.submit(r).expect("admitted"))
-            .collect();
-        batched.run_until_drained().expect("drain");
-        looped.run_until_drained().expect("drain");
-        for (b, l) in hb.iter().zip(&hl) {
-            let ob = batched.output(b).expect("output");
-            let ol = looped.output(l).expect("output");
-            assert_eq!(
-                ob.steps, ol.steps,
-                "batched scheduling changed decode bytes (tenant {})",
-                ob.tenant
-            );
-        }
-    }
+    assert_parity(&session, &[&ctx], requests);
+    let reports = assert_parity(&session, &[&ctx, &ctx_b], mixed_requests);
+    assert!(
+        reports.iter().any(|r| r.groups == 2),
+        "mixed drain never formed a two-context batch"
+    );
 
-    // Mixed-context parity: a full-width engine drain vs the same engine
-    // machinery at max_batch = 1.
-    {
-        let (mut batched, ba, bb) = mixed_engine(&session, &ctx, &ctx_b, TENANTS);
-        let (mut looped, la, lb) = mixed_engine(&session, &ctx, &ctx_b, 1);
-        let hb: Vec<_> = mixed_requests()
-            .into_iter()
-            .map(|(to_b, r)| batched.submit(if to_b { bb } else { ba }, r))
-            .collect();
-        let hl: Vec<_> = mixed_requests()
-            .into_iter()
-            .map(|(to_b, r)| looped.submit(if to_b { lb } else { la }, r))
-            .collect();
-        let reports = batched.run_until_drained().expect("drain");
-        assert!(
-            reports.iter().any(|r| r.groups == 2),
-            "mixed drain never formed a two-context batch"
-        );
-        looped.run_until_drained().expect("drain");
-        for (b, l) in hb.iter().zip(&hl) {
-            let ob = batched.output(b).expect("output");
-            let ol = looped.output(l).expect("output");
-            assert_eq!(
-                ob.steps, ol.steps,
-                "mixed-context scheduling changed decode bytes (tenant {})",
-                ob.tenant
-            );
-        }
-    }
-
-    let (looped_tps, tokens) = tokens_per_s(&session, &ctx, 1, reps);
-    let (batched_tps, _) = tokens_per_s(&session, &ctx, TENANTS, reps);
+    let single: &[&SharedContext] = &[&ctx];
+    let (looped_tps, tokens) = tokens_per_s(&session, single, requests, 1, reps);
+    let (batched_tps, _) = tokens_per_s(&session, single, requests, TENANTS, reps);
     let speedup = batched_tps / looped_tps;
 
-    let (mixed_looped_tps, mixed_tokens) = mixed_tokens_per_s(&session, &ctx, &ctx_b, 1, reps);
-    let (mixed_batched_tps, _) = mixed_tokens_per_s(&session, &ctx, &ctx_b, TENANTS, reps);
+    let mixed: &[&SharedContext] = &[&ctx, &ctx_b];
+    let (mixed_looped_tps, mixed_tokens) = tokens_per_s(&session, mixed, mixed_requests, 1, reps);
+    let (mixed_batched_tps, _) = tokens_per_s(&session, mixed, mixed_requests, TENANTS, reps);
     let mixed_speedup = mixed_batched_tps / mixed_looped_tps;
 
     // Live-KV memory: the same tenants, but every generated token lands

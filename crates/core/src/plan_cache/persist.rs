@@ -7,8 +7,9 @@
 //! so this module carries its own small, versioned, line-oriented text
 //! codec: one `(PlanKey, KernelPlan)` entry per line, every field written
 //! as an explicit token, floats as IEEE-754 bit patterns so a round trip
-//! is bitwise exact. The codec sits behind the [`PlanCache`] API, so it
-//! can be replaced without touching callers.
+//! is bitwise exact. The codec sits behind the
+//! [`PlanCache`](super::PlanCache) API, so it can be replaced without
+//! touching callers.
 //!
 //! The format is strict on read: any malformed token fails the whole load
 //! with [`io::ErrorKind::InvalidData`] rather than silently dropping

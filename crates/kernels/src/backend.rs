@@ -10,7 +10,7 @@
 //!   estimates with the roofline timing model, executes functionally
 //!   through the modelled codebook cache.
 //! * [`CpuBackend`] — real host execution: the same planner decisions,
-//!   but `run_*` dispatches to the fused [`host_exec`](crate::host_exec)
+//!   but `run_*` dispatches to the fused [`host_exec`]
 //!   kernels, which compute directly on packed codes with cache-resident
 //!   codebook LUTs, runtime-dispatched SIMD inner loops, and parallel
 //!   paths on the persistent [`host_exec::pool::WorkerPool`].

@@ -127,7 +127,7 @@ pub const LOCK_HIERARCHY: &[LockClass] = &[
         rank: 30,
         name: "WaitCell.state",
     },
-    // Server: per-connection closing flag and ticket map are outer; the
+    // NetServer: per-connection closing flag and ticket map are outer; the
     // writer FrameQueue state is innermost (pushed to while routing).
     LockClass {
         file: "src/net/server.rs",

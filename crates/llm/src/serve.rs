@@ -9,28 +9,30 @@
 //! is the machinery that *keeps those batches full under traffic*
 //! (EVA's decode-centric interface, PAPERS.md):
 //!
-//! * **admission** — [`Server::submit`] accepts a [`DecodeRequest`] into a
-//!   bounded FIFO queue ([`ServeConfig::max_queue`]) or rejects it
-//!   explicitly; nothing is ever dropped silently;
-//! * **continuous batch formation** — every [`Server::step`] re-forms the
-//!   decode batch: finished requests leave their slot, queued ones take
-//!   it, up to [`ServeConfig::max_batch`] in flight;
+//! * **admission** — [`MultiServer::submit`] accepts a [`DecodeRequest`]
+//!   tagged with a registered context's [`ContextHandle`] into a bounded
+//!   FIFO queue ([`ServeConfig::max_queue`]) or rejects it with a typed
+//!   reason; nothing is ever dropped silently;
+//! * **continuous batch formation** — every [`MultiServer::step`]
+//!   re-forms the decode batch: finished requests leave their slot,
+//!   queued ones take it, up to [`ServeConfig::max_batch`] in flight,
+//!   slots and the queue shared across every registered context;
 //! * **per-tenant KV ownership** — each request owns a [`KvCache`]
-//!   descriptor (its position in the shared context, validated growth),
-//!   while all tenants share one quantized context ([`SharedContext`]),
-//!   one `PlanCache`, and one backend through the [`Pipeline`];
-//! * **a deterministic driver** — [`Server::step`] is synchronous and
-//!   side-effect-free beyond its own state, so tests can single-step the
-//!   scheduler and a bench can meter tokens/second; an async/tokio driver
-//!   can wrap it later without touching the scheduling logic;
-//! * **multi-context batches** — the [`multi`] module generalizes all of
-//!   the above to a registry of contexts ([`MultiServer`], what
-//!   `vq_llm::Engine` wraps): requests are tagged with a
-//!   [`ContextHandle`], slots and the queue are shared engine-wide, and
-//!   each step runs one ragged-attention + one GeMM pass **per live
-//!   context group**, with measured-profile feedback replanning a
-//!   context's canonical plans when its access distribution shifts.
-//!   [`Server`] itself is now a thin single-context view over it.
+//!   descriptor (its position in its context, validated growth), while
+//!   the tenants of one context share its quantized tensors
+//!   ([`SharedContext`]), and all of them share one `PlanCache` and one
+//!   backend through the [`Pipeline`];
+//! * **per-context batch groups** — each step runs one ragged-attention +
+//!   one GeMM pass **per live context group**, with measured-profile
+//!   feedback replanning a context's canonical plans when its access
+//!   distribution shifts;
+//! * **a deterministic driver** — [`MultiServer::step`] is synchronous
+//!   and side-effect-free beyond its own state, so tests can single-step
+//!   the scheduler and a bench can meter tokens/second; the threaded
+//!   network driver wraps it without touching the scheduling logic.
+//!
+//! `vq_llm::Engine` wraps a [`MultiServer`]; one registered context is
+//! the single-shared-prompt case.
 //!
 //! Numerically the scheduler is *invisible*: each step runs one canonical
 //! ragged-attention plan and one canonical linear plan at whatever batch
@@ -46,16 +48,17 @@
 pub mod fair;
 pub mod multi;
 pub mod request;
-pub mod scheduler;
 pub mod slo;
 pub mod tenant_kv;
 
 pub use fair::FairQueue;
-pub use multi::{ContextHandle, ContextStats, MultiServer, ProfileConfig, REJECTED_TOMBSTONE_CAP};
+pub use multi::{
+    ContextHandle, ContextStats, MultiServer, ProfileConfig, ServerStats, StepReport,
+    REJECTED_TOMBSTONE_CAP,
+};
 pub use request::{
     DecodeRequest, RejectReason, RequestHandle, RequestId, RequestOutput, RequestStatus,
 };
-pub use scheduler::{Server, ServerStats, StepReport};
 pub use slo::SloEstimator;
 pub use tenant_kv::TenantKv;
 
@@ -97,7 +100,7 @@ pub enum KvQuantMode {
     },
 }
 
-/// Admission and batching limits of a [`Server`].
+/// Admission and batching limits of a [`MultiServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Largest decode batch formed per step (in-flight request slots).
@@ -160,7 +163,7 @@ impl ServeConfig {
     }
 }
 
-/// The quantized state every request of a [`Server`] decodes against: one
+/// The quantized state every request of one context decodes against: one
 /// K cache, one V cache (`seq × head_dim` each), and one output-projection
 /// weight (`head_dim × head_dim`).
 ///
@@ -168,7 +171,7 @@ impl ServeConfig {
 /// shared pre-quantized context (a shared prompt, a system prefix, a
 /// beam), each attending its own prefix of it, so one K-decode per step
 /// serves the whole batch. Tensors are `Arc`-shared — cloning the context
-/// is cheap and servers can hand it to reporting threads.
+/// is cheap and an engine can hand it to reporting threads.
 #[derive(Debug, Clone)]
 pub struct SharedContext {
     kq: Arc<QuantizedTensor>,

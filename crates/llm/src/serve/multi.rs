@@ -2,9 +2,8 @@
 //! registry of quantized contexts, with per-context canonical plans and
 //! measured-profile feedback.
 //!
-//! This is the generalization the single-context [`Server`] grew out of
-//! (and now delegates to): requests are tagged with a [`ContextHandle`] at
-//! submission, and every [`MultiServer::step`] re-forms the decode batch
+//! This is the one scheduler behind `vq_llm::Engine`: requests are
+//! tagged with a [`ContextHandle`] at submission, and every [`MultiServer::step`] re-forms the decode batch
 //! **per context group** — the running set is partitioned by context, and
 //! each live group runs one shared-K-decode ragged attention pass plus one
 //! batched linear through that context's own canonical plans. Slots
@@ -25,8 +24,6 @@
 //! (`tests/host_backend.rs` pins bitwise blocking-independence), so a
 //! replan never changes decoded bytes — only the modelled placement the
 //! estimates and a future GPU backend would use.
-//!
-//! [`Server`]: crate::serve::Server
 
 use crate::kv::KvCache;
 use crate::pipeline::{Pipeline, QuantScheme};
@@ -85,10 +82,7 @@ impl ContextHandle {
 pub struct ProfileConfig {
     /// Decode steps a context participates in between profile checks
     /// (`0` disables feedback entirely: contexts are planned from the
-    /// algorithm's default synthetic profile and never replanned — the
-    /// compatibility behaviour of the single-context [`Server`]).
-    ///
-    /// [`Server`]: crate::serve::Server
+    /// algorithm's default synthetic profile and never replanned).
     pub check_every: u64,
     /// Kolmogorov–Smirnov distance between the observed and the active
     /// access profile above which the context's canonical attention plan
@@ -106,7 +100,9 @@ impl Default for ProfileConfig {
 }
 
 impl ProfileConfig {
-    /// No measurement, no replanning: plan from synthetic defaults.
+    /// No measurement, no replanning: plan from the algorithms' synthetic
+    /// default profiles, so plan-cache keys depend only on the context's
+    /// configuration and shape, and steps never pay a profile check.
     pub fn disabled() -> Self {
         ProfileConfig {
             check_every: 0,
@@ -149,55 +145,14 @@ pub struct ContextStats {
 /// profile shift can invalidate precisely that entry (the linear plan is
 /// keyed off the static weight profile and is never invalidated).
 #[derive(Debug, Clone)]
-pub(crate) struct CanonicalPlans {
-    pub(crate) attn_key: PlanKey,
-    pub(crate) attn: Arc<KernelPlan>,
-    pub(crate) linear: Arc<KernelPlan>,
-}
-
-/// Plans the two canonical serving shapes of `ctx` — attention decode at
-/// batch 1 over the full cached sequence, and the `head_dim × head_dim`
-/// projection GeMV — through the pipeline's shared `PlanCache` under the
-/// given KV/weight profiles. One warm-up helper for every front end
-/// (single-context `Server`, multi-context `MultiServer`/engine): sibling
-/// constructions over the same context are pure cache hits.
-pub(crate) fn warm_canonical_plans(
-    pipeline: &Pipeline,
-    ctx: &SharedContext,
-    opt: OptLevel,
-    kv_profile: &AccessProfile,
-    kv_summary: &ProfileSummary,
-    w_profile: &AccessProfile,
-    w_summary: &ProfileSummary,
-) -> Result<CanonicalPlans> {
-    let (seq, head_dim) = (ctx.seq(), ctx.head_dim());
-    let kv_cfg = *ctx.kq().config();
-    let attn_op = ComputeOp::attention_decode(1, head_dim, seq, 1);
-    let (attn_key, attn) = pipeline
-        .vq_plan_profiled(&kv_cfg, &attn_op, opt, kv_profile, kv_summary)
-        .ok_or(LlmError::InvalidConfig {
-            what: "no launchable plan for the serving attention shape",
-        })?;
-    let w_cfg = *ctx.wq().config();
-    let linear_op = ComputeOp::Gemv {
-        n: head_dim,
-        k: head_dim,
-        batch: 1,
-    };
-    let (_, linear) = pipeline
-        .vq_plan_profiled(&w_cfg, &linear_op, opt, w_profile, w_summary)
-        .ok_or(LlmError::InvalidConfig {
-            what: "no launchable plan for the serving linear shape",
-        })?;
-    Ok(CanonicalPlans {
-        attn_key,
-        attn,
-        linear,
-    })
+struct CanonicalPlans {
+    attn_key: PlanKey,
+    attn: Arc<KernelPlan>,
+    linear: Arc<KernelPlan>,
 }
 
 /// The optimization level a scheme's serving plans are made at.
-pub(crate) fn serve_opt_level(scheme: &QuantScheme) -> OptLevel {
+fn serve_opt_level(scheme: &QuantScheme) -> OptLevel {
     match scheme {
         QuantScheme::VqLlm { opt, .. } => *opt,
         _ => OptLevel::O4,
@@ -451,15 +406,29 @@ impl MultiServer {
                 ProfileSummary::default_for(&w_cfg),
             )
         };
-        let plans = warm_canonical_plans(
-            &self.pipeline,
-            &ctx,
-            self.opt,
-            &kv_profile,
-            &kv_summary,
-            &w_profile,
-            &w_summary,
-        )?;
+        // The two canonical serving shapes — attention decode at batch 1
+        // over the full cached sequence and the `head_dim × head_dim`
+        // projection GeMV — planned through the shared `PlanCache`, so a
+        // second registration of the same context is a pure cache hit.
+        let (seq, head_dim) = (ctx.seq(), ctx.head_dim());
+        let attn_op = ComputeOp::attention_decode(1, head_dim, seq, 1);
+        let (attn_key, attn) = self
+            .pipeline
+            .vq_plan_profiled(&kv_cfg, &attn_op, self.opt, &kv_profile, &kv_summary)
+            .ok_or(LlmError::InvalidConfig {
+                what: "no launchable plan for the serving attention shape",
+            })?;
+        let linear_op = ComputeOp::Gemv {
+            n: head_dim,
+            k: head_dim,
+            batch: 1,
+        };
+        let (_, linear) = self
+            .pipeline
+            .vq_plan_profiled(&w_cfg, &linear_op, self.opt, &w_profile, &w_summary)
+            .ok_or(LlmError::InvalidConfig {
+                what: "no launchable plan for the serving linear shape",
+            })?;
         let engine = self.nonce;
         let id = u32::try_from(self.contexts.len()).map_err(|_| LlmError::InvalidConfig {
             what: "context registry overflow",
@@ -467,7 +436,11 @@ impl MultiServer {
         let observed = vec![0u64; kv_cfg.stored_entries()];
         self.contexts.push(ContextState {
             ctx,
-            plans,
+            plans: CanonicalPlans {
+                attn_key,
+                attn,
+                linear,
+            },
             stats: ContextStats {
                 num_hot: kv_summary.num_hot,
                 ..ContextStats::default()

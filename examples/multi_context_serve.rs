@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Two shared pre-quantized contexts — think two tenant pools over two
     // system prompts, or two beams with different depths.
-    let session = engine.session_unbound();
+    let session = engine.session();
     let quantize = |seq: usize, dim: usize, seed: u64| -> Result<SharedContext, _> {
         SharedContext::new(
             session

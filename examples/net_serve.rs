@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .serve_config(ServeConfig::new(4, 16))
         .profile_config(ProfileConfig::disabled())
         .build()?;
-    let session = engine.session_unbound();
+    let session = engine.session();
     let ctx = SharedContext::new(
         session.quantize_kv(&synth::kv_stream(SEQ, HEAD_DIM, 0.85, 1), 1)?,
         session.quantize_kv(&synth::kv_stream(SEQ, HEAD_DIM, 0.85, 2), 2)?,

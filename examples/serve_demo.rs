@@ -3,23 +3,26 @@
 //! (continuous batching), and every step runs one shared K-decode for the
 //! whole batch.
 //!
-//! This is the single-context `Session::serve` facade; for decode batches
-//! spanning *multiple* registered contexts (and profile-driven
-//! replanning), see `examples/multi_context_serve.rs` and `vq_llm::Engine`.
+//! Serving goes through `vq_llm::Engine`; here it has one registered
+//! context. For decode batches spanning *multiple* contexts (and
+//! profile-driven replanning), see `examples/multi_context_serve.rs`.
 //!
 //! ```sh
 //! cargo run --release --example serve_demo
 //! ```
 
 use vq_llm::tensor::synth;
-use vq_llm::{DecodeRequest, RequestStatus, ServeConfig, Session, SharedContext, VqAlgorithm};
+use vq_llm::{DecodeRequest, Engine, RequestStatus, ServeConfig, SharedContext, VqAlgorithm};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let session = Session::builder()
+    // Admission limits: at most 4 requests decode together, 16 may wait.
+    let mut engine = Engine::builder()
         .cpu_threads(0) // real host execution, sized to the machine
         .weight_algo(VqAlgorithm::Gptvq2)
         .kv_algo(VqAlgorithm::Cq4)
+        .serve_config(ServeConfig::new(4, 16))
         .build()?;
+    let session = engine.session();
 
     // The shared pre-quantized context every tenant decodes against: a K/V
     // cache of 512 tokens and an output projection, all on packed codes.
@@ -33,8 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         session.quantize_weights(&w, 6)?,
     )?;
 
-    // Admission limits: at most 4 requests decode together, 16 may wait.
-    let mut server = session.serve(ctx, ServeConfig::new(4, 16))?;
+    let ctx = engine.register_context(ctx)?;
 
     // Six tenants at ragged context positions, asking for different
     // lengths — more tenants than slots, so the batch re-forms as
@@ -50,18 +52,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             128 + 60 * tenant as usize,
             8 + tenant as usize,
         );
-        handles.push(server.submit(req)?);
+        handles.push(engine.try_submit(ctx, req)?);
     }
     println!(
         "submitted {} requests (queue {}, running {})",
         handles.len(),
-        server.queued(),
-        server.running()
+        engine.queued(),
+        engine.running()
     );
 
     // Single-step the decode loop and watch the scheduler work.
-    while !server.is_idle() {
-        let report = server.step()?;
+    while !engine.is_idle() {
+        let report = engine.step()?;
         println!(
             "step {:2}: batch {} (+{} admitted, -{} finished, {} queued)",
             report.step,
@@ -76,10 +78,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // The typed lifecycle: a drained request polls as Finished with
         // its token count before the output is collected.
         assert!(matches!(
-            server.status(handle),
+            engine.poll(handle),
             RequestStatus::Finished { .. }
         ));
-        let out = server.take_output(handle).expect("completed");
+        let out = engine.take_output(handle).expect("completed");
         println!(
             "tenant {}: {} tokens decoded (submitted step {}, finished step {}, kv quant {:.1} us)",
             out.tenant,
@@ -89,14 +91,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             out.kv_quant_us
         );
     }
-    let stats = server.stats();
+    let stats = engine.stats();
     println!(
         "\n{} tokens over {} steps — mean batch occupancy {:.2}; plan cache: {} plans, {:.0}% hits",
         stats.decoded_tokens,
         stats.steps,
         stats.mean_batch(),
-        session.plan_cache().len(),
-        session.cache_stats().hit_rate() * 100.0
+        engine.plan_cache().len(),
+        engine.cache_stats().hit_rate() * 100.0
     );
     Ok(())
 }

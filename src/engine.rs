@@ -1,10 +1,10 @@
-//! The `Engine`: the multi-context serving entry point.
+//! The `Engine`: the one serving entry point.
 //!
-//! A [`Session`](crate::Session) binds one configuration to *one* view of
-//! the framework; an [`Engine`] owns the whole serving side of it — one
-//! backend, one shared [`PlanCache`], and a **registry of quantized
-//! contexts** ([`Engine::register_context`]), with the typed request
-//! lifecycle the serving layer is built around:
+//! A [`Session`] plans, estimates, emits and quantizes; an [`Engine`]
+//! serves. It owns one backend, one shared [`PlanCache`], and a
+//! **registry of quantized contexts** ([`Engine::register_context`]) —
+//! one for a single shared prompt, several for mixed traffic — with the
+//! typed request lifecycle the serving layer is built around:
 //!
 //! ```text
 //! Engine::submit(ctx, req) -> RequestHandle
@@ -21,7 +21,8 @@
 //! steps feed observed histograms back, and a drifted profile invalidates
 //! and replans that context's cached plans — without changing a single
 //! decoded byte, since the host kernels are bitwise independent of plan
-//! blocking.
+//! blocking. [`ProfileConfig::disabled`] plans from the algorithm's
+//! synthetic default profiles instead and never replans.
 //!
 //! ```
 //! use vq_llm::tensor::synth;
@@ -32,7 +33,7 @@
 //!     .weight_algo(VqAlgorithm::Gptvq2)
 //!     .kv_algo(VqAlgorithm::Cq4)
 //!     .build()?;
-//! let session = engine.session_unbound();
+//! let session = engine.session();
 //! let ctx = SharedContext::new(
 //!     session.quantize_kv(&synth::kv_stream(320, 32, 0.85, 1), 1)?,
 //!     session.quantize_kv(&synth::kv_stream(320, 32, 0.85, 2), 2)?,
@@ -64,9 +65,9 @@ use vqllm_llm::{
 };
 use vqllm_vq::VqAlgorithm;
 
-/// The configuration + substrate every view of an engine shares: device,
-/// algorithms, optimization level, model shape, execution backend, and
-/// the memoizing plan cache. `Session`s are thin `Arc`'d views over this.
+/// The configuration + substrate an engine and its sessions share:
+/// device, algorithms, optimization level, model shape, execution
+/// backend, and the memoizing plan cache.
 #[derive(Debug)]
 pub(crate) struct EngineShared {
     pub(crate) gpu: GpuSpec,
@@ -104,9 +105,12 @@ impl EngineShared {
     }
 }
 
-/// Builder for [`Engine`] (see [`Engine::builder`]).
+/// The builder behind both [`SessionBuilder`](crate::SessionBuilder)
+/// (`S = ()`) and [`EngineBuilder`] (`S = ServeOptions`): the device,
+/// algorithm, optimization-level, model, backend and plan-cache setters
+/// are shared, and `S` holds what only the engine configures.
 #[derive(Debug, Clone)]
-pub struct EngineBuilder {
+pub struct Builder<S> {
     gpu: GpuSpec,
     weight_algo: VqAlgorithm,
     kv_algo: VqAlgorithm,
@@ -114,14 +118,24 @@ pub struct EngineBuilder {
     model: LlamaConfig,
     backend: Option<Arc<dyn Backend>>,
     plan_cache: Option<Arc<PlanCache>>,
+    extra: S,
+}
+
+/// Builder for [`Engine`] (see [`Engine::builder`]).
+pub type EngineBuilder = Builder<ServeOptions>;
+
+/// The engine-only settings of an [`EngineBuilder`]: serving limits,
+/// profile feedback, and plan-cache persistence.
+#[derive(Debug, Clone, Default)]
+pub struct ServeOptions {
     serve: ServeConfig,
     profile: ProfileConfig,
     plan_cache_path: Option<PathBuf>,
 }
 
-impl Default for EngineBuilder {
+impl<S: Default> Default for Builder<S> {
     fn default() -> Self {
-        EngineBuilder {
+        Builder {
             gpu: GpuSpec::rtx4090(),
             weight_algo: VqAlgorithm::QuipSharp4,
             kv_algo: VqAlgorithm::Cq4,
@@ -129,14 +143,12 @@ impl Default for EngineBuilder {
             model: LlamaConfig::llama_7b(),
             backend: None,
             plan_cache: None,
-            serve: ServeConfig::default(),
-            profile: ProfileConfig::default(),
-            plan_cache_path: None,
+            extra: S::default(),
         }
     }
 }
 
-impl EngineBuilder {
+impl<S> Builder<S> {
     /// Target device (default: RTX 4090, the paper's primary testbed).
     pub fn gpu(mut self, gpu: GpuSpec) -> Self {
         self.gpu = gpu;
@@ -175,28 +187,87 @@ impl EngineBuilder {
         self
     }
 
-    /// Selects one of the shipped backends by kind.
+    /// Selects one of the shipped backends by kind — e.g.
+    /// `BackendKind::Cpu { threads: 0 }` for real host execution sized to
+    /// the machine.
     pub fn backend_kind(self, kind: BackendKind) -> Self {
         self.backend(kind.instantiate())
     }
 
     /// Shortcut for `backend_kind(BackendKind::Cpu { threads })`: real
     /// host execution with `threads` worker partitions (`0` = the
-    /// machine's available parallelism).
+    /// machine's available parallelism). Instantiation warms the shared
+    /// persistent worker pool, so the first parallel kernel call pays no
+    /// thread spawns.
     pub fn cpu_threads(self, threads: usize) -> Self {
         self.backend_kind(BackendKind::Cpu { threads })
     }
 
-    /// Shares an existing plan cache (default: a fresh empty cache).
+    /// Shares an existing plan cache (default: a fresh empty cache). Lets
+    /// several sessions and engines — e.g. one per tenant on the same
+    /// device — reuse each other's plans.
     pub fn plan_cache(mut self, cache: Arc<PlanCache>) -> Self {
         self.plan_cache = Some(cache);
         self
     }
 
+    /// Validates the shared configuration — one path for both builders —
+    /// and splits off the side-specific settings.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VqLlmError::InvalidSession`] when the weight algorithm is
+    /// not a weight quantizer, the KV algorithm is not a KV-cache
+    /// quantizer, or the device has no SMs or a bandwidth or clock that
+    /// is not a finite positive number.
+    pub(crate) fn into_shared(self) -> Result<(Arc<EngineShared>, S)> {
+        let (gpu, weight_algo, kv_algo) = (&self.gpu, self.weight_algo, self.kv_algo);
+        if !weight_algo.is_weight_algorithm() {
+            return Err(VqLlmError::InvalidSession {
+                what: "weight_algo",
+                detail: format!(
+                    "{} is a KV-cache algorithm; expected one of {:?}",
+                    weight_algo.name(),
+                    VqAlgorithm::WEIGHT.map(|a| a.name()),
+                ),
+            });
+        }
+        if kv_algo.is_weight_algorithm() {
+            return Err(VqLlmError::InvalidSession {
+                what: "kv_algo",
+                detail: format!(
+                    "{} is a weight algorithm; expected one of {:?}",
+                    kv_algo.name(),
+                    VqAlgorithm::KV_CACHE.map(|a| a.name()),
+                ),
+            });
+        }
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        if gpu.num_sms == 0 || !positive(gpu.dram_bw_gbps) || !positive(gpu.clock_ghz) {
+            return Err(VqLlmError::InvalidSession {
+                what: "gpu",
+                detail: format!("degenerate device description: {gpu}"),
+            });
+        }
+        let shared = Arc::new(EngineShared {
+            gpu_identity: plan_cache::gpu_identity(&self.gpu),
+            gpu: self.gpu,
+            weight_algo: self.weight_algo,
+            kv_algo: self.kv_algo,
+            opt: self.opt,
+            model: self.model,
+            backend: self.backend.unwrap_or_else(|| Arc::new(PerfModelBackend)),
+            plan_cache: self.plan_cache.unwrap_or_default(),
+        });
+        Ok((shared, self.extra))
+    }
+}
+
+impl EngineBuilder {
     /// Engine-wide admission and batching limits (default: batch 8,
     /// queue 64).
     pub fn serve_config(mut self, serve: ServeConfig) -> Self {
-        self.serve = serve;
+        self.extra.serve = serve;
         self
     }
 
@@ -205,7 +276,7 @@ impl EngineBuilder {
     /// [`ProfileConfig::disabled`] to plan from synthetic defaults and
     /// never replan).
     pub fn profile_config(mut self, profile: ProfileConfig) -> Self {
-        self.profile = profile;
+        self.extra.profile = profile;
         self
     }
 
@@ -222,7 +293,7 @@ impl EngineBuilder {
     /// a restart). Undrifted contexts and every linear plan warm-start
     /// as pure cache hits.
     pub fn plan_cache_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.plan_cache_path = Some(path.into());
+        self.extra.plan_cache_path = Some(path.into());
         self
     }
 
@@ -234,16 +305,8 @@ impl EngineBuilder {
     /// device/algorithm combination and [`VqLlmError::Persistence`] when a
     /// configured plan-cache file exists but cannot be read.
     pub fn build(self) -> Result<Engine> {
-        let shared = build_shared(
-            self.gpu,
-            self.weight_algo,
-            self.kv_algo,
-            self.opt,
-            self.model,
-            self.backend,
-            self.plan_cache,
-        )?;
-        if let Some(path) = &self.plan_cache_path {
+        let (shared, opts) = self.into_shared()?;
+        if let Some(path) = &opts.plan_cache_path {
             if path.exists() {
                 shared
                     .plan_cache
@@ -254,71 +317,21 @@ impl EngineBuilder {
                     })?;
             }
         }
-        let server = MultiServer::new(shared.pipeline(shared.scheme()), self.serve, self.profile)?;
+        let server = MultiServer::new(shared.pipeline(shared.scheme()), opts.serve, opts.profile)?;
         Ok(Engine {
             shared,
             server,
-            plan_cache_path: self.plan_cache_path,
+            plan_cache_path: opts.plan_cache_path,
         })
     }
 }
 
-/// Validates the shared configuration (one validation path for both the
-/// [`Engine`] and the [`Session`](crate::Session) builders).
-pub(crate) fn build_shared(
-    gpu: GpuSpec,
-    weight_algo: VqAlgorithm,
-    kv_algo: VqAlgorithm,
-    opt: OptLevel,
-    model: LlamaConfig,
-    backend: Option<Arc<dyn Backend>>,
-    cache: Option<Arc<PlanCache>>,
-) -> Result<Arc<EngineShared>> {
-    if !weight_algo.is_weight_algorithm() {
-        return Err(VqLlmError::InvalidSession {
-            what: "weight_algo",
-            detail: format!(
-                "{} is a KV-cache algorithm; expected one of {:?}",
-                weight_algo.name(),
-                VqAlgorithm::WEIGHT.map(|a| a.name()),
-            ),
-        });
-    }
-    if kv_algo.is_weight_algorithm() {
-        return Err(VqLlmError::InvalidSession {
-            what: "kv_algo",
-            detail: format!(
-                "{} is a weight algorithm; expected one of {:?}",
-                kv_algo.name(),
-                VqAlgorithm::KV_CACHE.map(|a| a.name()),
-            ),
-        });
-    }
-    if gpu.num_sms == 0 || gpu.dram_bw_gbps <= 0.0 {
-        return Err(VqLlmError::InvalidSession {
-            what: "gpu",
-            detail: format!("degenerate device description: {gpu}"),
-        });
-    }
-    Ok(Arc::new(EngineShared {
-        gpu_identity: plan_cache::gpu_identity(&gpu),
-        gpu,
-        weight_algo,
-        kv_algo,
-        opt,
-        model,
-        backend: backend.unwrap_or_else(|| Arc::new(PerfModelBackend)),
-        plan_cache: cache.unwrap_or_default(),
-    }))
-}
-
-/// A multi-context serving engine: one backend + one shared plan cache +
-/// a registry of quantized contexts, driven by the typed
-/// submit/poll/step lifecycle.
+/// A serving engine: one backend + one shared plan cache + a registry of
+/// quantized contexts, driven by the typed submit/poll/step lifecycle.
 ///
-/// [`Engine::session`] hands out [`Session`] views — the single-context
-/// compatibility facade — sharing this engine's backend, plan cache, and
-/// configuration.
+/// [`Engine::session`] hands out a [`Session`] sharing this engine's
+/// backend, plan cache, and configuration — the planning and
+/// quantization front end for the contexts it serves.
 #[derive(Debug)]
 pub struct Engine {
     shared: Arc<EngineShared>,
@@ -418,32 +431,12 @@ impl Engine {
 
     // --- sessions ---
 
-    /// A [`Session`] view bound to a registered context: it shares this
-    /// engine's backend, plan cache, and configuration, and exposes the
-    /// single-context API (`serve`, `quantize_*`, `run_*`) against that
-    /// context.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VqLlmError::Pipeline`] with
-    /// [`LlmError::UnknownContext`](vqllm_llm::LlmError::UnknownContext)
-    /// when the handle was not issued by this engine.
-    pub fn session(&self, handle: ContextHandle) -> Result<Session> {
-        let ctx = self
-            .server
-            .context(handle)
-            .ok_or(VqLlmError::Pipeline(vqllm_llm::LlmError::UnknownContext {
-                id: handle.id(),
-            }))?
-            .clone();
-        Ok(Session::view(Arc::clone(&self.shared), Some((handle, ctx))))
-    }
-
-    /// An unbound [`Session`] view (no context attached) sharing this
-    /// engine's backend, plan cache, and configuration — the planning /
-    /// quantization front end.
-    pub fn session_unbound(&self) -> Session {
-        Session::view(Arc::clone(&self.shared), None)
+    /// A [`Session`] sharing this engine's backend, plan cache, and
+    /// configuration — the planning / quantization front end.
+    pub fn session(&self) -> Session {
+        Session {
+            shared: Arc::clone(&self.shared),
+        }
     }
 
     // --- the typed request lifecycle ---

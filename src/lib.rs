@@ -7,7 +7,7 @@
 //! whole framework (profile → codebook-cache placement → dataflow → fusion
 //! → codegen → execute, paper Fig. 7) with a pluggable execution
 //! [`Backend`] and a memoizing [`PlanCache`] shared by every pipeline it
-//! creates.
+//! creates. Serving goes through [`Engine`], built with the same setters.
 //!
 //! ## Quickstart
 //!
@@ -85,6 +85,6 @@ pub use vqllm_kernels::KernelOutput;
 pub use vqllm_llm::{
     ContextHandle, ContextStats, DecodeRequest, E2eReport, KvQuantMode, LlamaConfig, Pipeline,
     ProfileConfig, QuantScheme, RejectReason, RequestHandle, RequestOutput, RequestStatus,
-    ServeConfig, Server, ServerStats, SharedContext, StepReport, TenantKv,
+    ServeConfig, ServerStats, SharedContext, StepReport, TenantKv,
 };
 pub use vqllm_vq::{VqAlgorithm, VqConfig};

@@ -154,7 +154,7 @@ pub enum RejectKind {
     Deadline,
     /// Tenant token budget exhausted for the window.
     RateLimited,
-    /// Server draining, not admitting.
+    /// The network server is draining, not admitting.
     Draining,
     /// Quarantined by the fault-containment layer (contained panic,
     /// forced mid-decode failure, or watchdog shed).

@@ -37,7 +37,8 @@
 //!   round-trips.
 //!
 //! The decode bytes a remote client receives are **bitwise identical**
-//! to a solo in-process `Session` drain of the same request —
+//! to a solo in-process drain of the same request on a one-context
+//! [`Engine`](crate::Engine) —
 //! `tests/net_serving.rs` pins that end to end through a real socket.
 
 pub mod admission;

@@ -21,7 +21,8 @@
 //!
 //! Token values are `f32`s encoded in shortest-round-trip decimal form
 //! ([`json::push_f32`]), so a streamed row is **bitwise identical** to
-//! the row a local `Session` would decode — `tests/net_serving.rs` pins
+//! the row a local one-context `Engine` would decode —
+//! `tests/net_serving.rs` pins
 //! that through a real socket.
 
 use vqllm_llm::{RejectReason, RequestStatus};

@@ -11,9 +11,9 @@
 //!   bytes) and acts on the shared [`Client`] — submit into the fair
 //!   queue, poll, cancel, stats, ping;
 //! * each connection's **writer** thread drains a **bounded**
-//!   [`FrameQueue`] of pre-rendered frames. The driver thread pushes
+//!   `FrameQueue` of pre-rendered frames. The driver thread pushes
 //!   streaming events into that queue through the request's
-//!   [`StreamSink`], and the reader pushes verb replies; the queue
+//!   [`StreamSink`](crate::net::driver::StreamSink), and the reader pushes verb replies; the queue
 //!   serializes them, so a client sees `hello`, then `accepted`, then
 //!   `token`s in decode order, then `done`.
 //!

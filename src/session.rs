@@ -8,20 +8,20 @@
 //!
 //! * a **builder** validates the device / algorithm / optimization-level
 //!   combination once, up front;
-//! * a pluggable [`Backend`](crate::Backend) supplies planning,
-//!   estimation, and functional execution (the performance model today; a
-//!   real-GPU backend later);
+//! * a pluggable [`Backend`] supplies planning, estimation, and
+//!   functional execution (the performance model today; a real-GPU
+//!   backend later);
 //! * a shared, memoizing [`PlanCache`] makes repeated planning requests —
 //!   the serving hot path — a hash probe instead of re-running Alg. 2, and
 //!   is inherited by every [`Pipeline`] the session creates.
 //!
-//! Since the engine redesign a `Session` is a **thin view** over the same
-//! shared state an [`Engine`](crate::Engine) owns (device + algorithms +
-//! backend + plan cache), optionally **bound to one registered context**
-//! ([`Engine::session`](crate::Engine::session)) — the single-context
-//! compatibility facade over the multi-context serving API. A standalone
-//! `Session::builder()` still works exactly as before for planning,
-//! quantization, and single-context serving.
+//! A `Session` plans, estimates, emits, quantizes, and runs single
+//! kernels; it does not serve. Serving goes through an
+//! [`Engine`](crate::Engine) — with one registered context for a single
+//! shared prompt — whose [`Engine::session`](crate::Engine::session)
+//! hands out a `Session` over the same backend, plan cache, and
+//! configuration. A standalone `Session::builder()` gets its own backend
+//! and plan cache unless it is handed shared ones.
 //!
 //! ```
 //! use vq_llm::{OptLevel, Session, VqAlgorithm};
@@ -40,111 +40,23 @@
 //! # }
 //! ```
 
-use crate::backend::{Backend, BackendKind};
-use crate::engine::{build_shared, EngineShared};
+use crate::backend::Backend;
+use crate::engine::{Builder, EngineShared};
 use crate::error::{Result, VqLlmError};
 use std::sync::Arc;
 use vqllm_core::plan_cache::{CacheStats, PlanCache, PlanKey, PlanRequest};
 use vqllm_core::{codegen, ComputeOp, KernelPlan, OptLevel, ProfileSummary};
 use vqllm_gpu::GpuSpec;
 use vqllm_kernels::{AccessProfile, KernelOutput};
-use vqllm_llm::serve::ContextHandle;
-use vqllm_llm::{
-    E2eReport, LlamaConfig, Pipeline, QuantScheme, ServeConfig, Server, SharedContext,
-};
+use vqllm_llm::{E2eReport, LlamaConfig, Pipeline, QuantScheme};
 use vqllm_tensor::Tensor2D;
 use vqllm_vq::{QuantizedTensor, VqAlgorithm, VqConfig, VqQuantizer};
 
-/// Builder for [`Session`] (see [`Session::builder`]).
-#[derive(Debug, Clone)]
-pub struct SessionBuilder {
-    gpu: GpuSpec,
-    weight_algo: VqAlgorithm,
-    kv_algo: VqAlgorithm,
-    opt: OptLevel,
-    model: LlamaConfig,
-    backend: Option<Arc<dyn Backend>>,
-    plan_cache: Option<Arc<PlanCache>>,
-}
-
-impl Default for SessionBuilder {
-    fn default() -> Self {
-        SessionBuilder {
-            gpu: GpuSpec::rtx4090(),
-            weight_algo: VqAlgorithm::QuipSharp4,
-            kv_algo: VqAlgorithm::Cq4,
-            opt: OptLevel::O4,
-            model: LlamaConfig::llama_7b(),
-            backend: None,
-            plan_cache: None,
-        }
-    }
-}
+/// Builder for [`Session`] (see [`Session::builder`]); its setters are
+/// the ones it shares with [`EngineBuilder`](crate::EngineBuilder).
+pub type SessionBuilder = Builder<()>;
 
 impl SessionBuilder {
-    /// Target device (default: RTX 4090, the paper's primary testbed).
-    pub fn gpu(mut self, gpu: GpuSpec) -> Self {
-        self.gpu = gpu;
-        self
-    }
-
-    /// Weight quantization algorithm (default: QuiP#-4).
-    pub fn weight_algo(mut self, algo: VqAlgorithm) -> Self {
-        self.weight_algo = algo;
-        self
-    }
-
-    /// KV-cache quantization algorithm (default: CQ-4).
-    pub fn kv_algo(mut self, algo: VqAlgorithm) -> Self {
-        self.kv_algo = algo;
-        self
-    }
-
-    /// Optimization level for generated kernels (default: O4, the shipped
-    /// fully-adaptive configuration).
-    pub fn opt(mut self, opt: OptLevel) -> Self {
-        self.opt = opt;
-        self
-    }
-
-    /// Model shape for end-to-end projections (default: Llama-7B).
-    pub fn model(mut self, model: LlamaConfig) -> Self {
-        self.model = model;
-        self
-    }
-
-    /// Execution backend (default: [`PerfModelBackend`]).
-    ///
-    /// [`PerfModelBackend`]: crate::PerfModelBackend
-    pub fn backend(mut self, backend: Arc<dyn Backend>) -> Self {
-        self.backend = Some(backend);
-        self
-    }
-
-    /// Selects one of the shipped backends by kind — e.g.
-    /// `BackendKind::Cpu { threads: 0 }` for real host execution sized to
-    /// the machine.
-    pub fn backend_kind(self, kind: BackendKind) -> Self {
-        self.backend(kind.instantiate())
-    }
-
-    /// Shortcut for `backend_kind(BackendKind::Cpu { threads })`: real
-    /// host execution with `threads` worker partitions (`0` = the
-    /// machine's available parallelism). Instantiation warms the shared
-    /// persistent worker pool, so the session's first parallel kernel
-    /// call pays no thread spawns.
-    pub fn cpu_threads(self, threads: usize) -> Self {
-        self.backend_kind(BackendKind::Cpu { threads })
-    }
-
-    /// Shares an existing plan cache (default: a fresh empty cache). Lets
-    /// several sessions — e.g. one per tenant on the same device — reuse
-    /// each other's plans.
-    pub fn plan_cache(mut self, cache: Arc<PlanCache>) -> Self {
-        self.plan_cache = Some(cache);
-        self
-    }
-
     /// Validates the configuration and builds the session.
     ///
     /// # Errors
@@ -153,30 +65,19 @@ impl SessionBuilder {
     /// not a weight quantizer, the KV algorithm is not a KV-cache
     /// quantizer, or the device description is degenerate.
     pub fn build(self) -> Result<Session> {
-        let shared = build_shared(
-            self.gpu,
-            self.weight_algo,
-            self.kv_algo,
-            self.opt,
-            self.model,
-            self.backend,
-            self.plan_cache,
-        )?;
-        Ok(Session::view(shared, None))
+        let (shared, ()) = self.into_shared()?;
+        Ok(Session { shared })
     }
 }
 
 /// A configured VQ-LLM view: device + algorithms + optimization level +
-/// backend + shared plan cache, optionally bound to one registered
-/// context (see [`Engine::session`](crate::Engine::session)).
+/// backend + shared plan cache.
 ///
 /// Cloning is cheap (everything is behind one `Arc`), so a server can
 /// hand one clone to every worker thread.
 #[derive(Debug, Clone)]
 pub struct Session {
-    shared: Arc<EngineShared>,
-    /// The engine context this view is bound to, if any.
-    bound: Option<(ContextHandle, SharedContext)>,
+    pub(crate) shared: Arc<EngineShared>,
 }
 
 impl Session {
@@ -184,14 +85,6 @@ impl Session {
     /// QuiP#-4 weights, CQ-4 KV, O4).
     pub fn builder() -> SessionBuilder {
         SessionBuilder::default()
-    }
-
-    /// Internal constructor: a view over shared engine state.
-    pub(crate) fn view(
-        shared: Arc<EngineShared>,
-        bound: Option<(ContextHandle, SharedContext)>,
-    ) -> Session {
-        Session { shared, bound }
     }
 
     // --- accessors ---
@@ -234,17 +127,6 @@ impl Session {
     /// Hit/miss counters of the shared plan cache.
     pub fn cache_stats(&self) -> CacheStats {
         self.shared.plan_cache.stats()
-    }
-
-    /// The engine context handle this view is bound to, if it came from
-    /// [`Engine::session`](crate::Engine::session).
-    pub fn context_handle(&self) -> Option<ContextHandle> {
-        self.bound.as_ref().map(|(h, _)| *h)
-    }
-
-    /// The registered context this view is bound to, if any.
-    pub fn bound_context(&self) -> Option<&SharedContext> {
-        self.bound.as_ref().map(|(_, ctx)| ctx)
     }
 
     /// The quantization scheme this session's pipeline runs under.
@@ -487,54 +369,6 @@ impl Session {
             .run_attention_head(&self.shared.gpu, plan, q, kq, vq)?)
     }
 
-    /// Functionally executes one attention head for a batch of decode
-    /// queries (`qs` is `batch × head_dim`, one row per in-flight
-    /// sequence) over shared quantized K/V caches — the serving-layer
-    /// shape. On a `CpuBackend` this is the fused batched kernel (one
-    /// packed-code decode for the whole batch + the panel-blocked GeMM
-    /// value pass); other backends fall back to a per-query loop.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VqLlmError::Kernel`] on shape mismatches or an empty
-    /// batch.
-    pub fn run_attention_batch(
-        &self,
-        plan: &KernelPlan,
-        qs: &Tensor2D,
-        kq: &QuantizedTensor,
-        vq: &QuantizedTensor,
-    ) -> Result<(Tensor2D, KernelOutput)> {
-        Ok(self
-            .shared
-            .backend
-            .run_attention_batch(&self.shared.gpu, plan, qs, kq, vq)?)
-    }
-
-    /// Ragged batched attention decode: query `b` of `qs` attends only the
-    /// first `lens[b]` cached tokens of the shared quantized K/V — the
-    /// continuous-batching shape, where co-scheduled tenants sit at
-    /// different positions in one cache. On a `CpuBackend` the K-decode is
-    /// still shared across the whole batch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VqLlmError::Kernel`] on shape mismatches, an empty batch,
-    /// or a length outside `1..=seq`.
-    pub fn run_attention_ragged(
-        &self,
-        plan: &KernelPlan,
-        qs: &Tensor2D,
-        lens: &[usize],
-        kq: &QuantizedTensor,
-        vq: &QuantizedTensor,
-    ) -> Result<(Tensor2D, KernelOutput)> {
-        Ok(self
-            .shared
-            .backend
-            .run_attention_ragged(&self.shared.gpu, plan, qs, lens, kq, vq)?)
-    }
-
     // --- end-to-end ---
 
     /// An end-to-end pipeline under an explicit scheme (FP16 / qServe /
@@ -552,43 +386,5 @@ impl Session {
     pub fn generate(&self, prompt: usize, gen_tokens: usize, batch: usize) -> E2eReport {
         self.pipeline(self.scheme())
             .generate(prompt, gen_tokens, batch)
-    }
-
-    // --- serving ---
-
-    /// A batched request [`Server`] over this session: tenants submitted
-    /// through [`Server::submit`] share `ctx`'s quantized context, this
-    /// session's backend, and its plan cache, while each owns its KV
-    /// position; every [`Server::step`] re-forms the decode batch
-    /// (continuous batching) and runs one shared-K-decode attention pass
-    /// plus one batched linear for all live requests.
-    ///
-    /// For decode batches spanning **multiple** contexts, use
-    /// [`Engine`](crate::Engine) instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VqLlmError::Pipeline`] on a degenerate config or when no
-    /// launchable plan exists for the serving shapes.
-    pub fn serve(&self, ctx: SharedContext, config: ServeConfig) -> Result<Server> {
-        Ok(Server::new(self.pipeline(self.scheme()), ctx, config)?)
-    }
-
-    /// [`Session::serve`] against the context this view is bound to.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VqLlmError::InvalidSession`] when the session is not
-    /// bound to a context, otherwise as [`Session::serve`].
-    pub fn serve_bound(&self, config: ServeConfig) -> Result<Server> {
-        let Some((_, ctx)) = &self.bound else {
-            return Err(VqLlmError::InvalidSession {
-                what: "context",
-                detail: "session is not bound to an engine context; use \
-                         Engine::session(handle) or Session::serve(ctx, config)"
-                    .to_string(),
-            });
-        };
-        self.serve(ctx.clone(), config)
     }
 }

@@ -73,15 +73,22 @@ fn harness() -> &'static (Session, SharedContext) {
 }
 
 /// A fresh engine over the harness context, sharing the harness backend
-/// so decode bytes are comparable with solo session drains.
+/// so decode bytes are comparable with solo drains.
 fn engine(max_batch: usize, max_queue: usize) -> (Engine, ContextHandle) {
+    engine_with(
+        ServeConfig::new(max_batch, max_queue),
+        ProfileConfig::default(),
+    )
+}
+
+fn engine_with(serve: ServeConfig, profile: ProfileConfig) -> (Engine, ContextHandle) {
     let (session, ctx) = harness();
     let mut engine = Engine::builder()
         .backend(std::sync::Arc::clone(session.backend()))
         .weight_algo(VqAlgorithm::Gptvq2)
         .kv_algo(VqAlgorithm::Cq4)
-        .serve_config(ServeConfig::new(max_batch, max_queue))
-        .profile_config(ProfileConfig::default())
+        .serve_config(serve)
+        .profile_config(profile)
         .build()
         .expect("valid engine");
     let handle = engine.register_context(ctx.clone()).expect("register");
@@ -102,17 +109,14 @@ fn query(tenant: u64) -> Vec<f32> {
         .collect()
 }
 
-/// Drains one request alone through `Session::serve` — the solo
-/// reference healthy requests must reproduce bitwise even with faults
-/// flying around them.
+/// Drains one request alone through a one-context engine at batch 1
+/// (synthetic default plans, feedback off) — the solo reference healthy
+/// requests must reproduce bitwise even with faults flying around them.
 fn solo_reference(req: DecodeRequest) -> Vec<Vec<f32>> {
-    let (session, ctx) = harness();
-    let mut srv = session
-        .serve(ctx.clone(), ServeConfig::new(1, 1))
-        .expect("solo server");
-    let handle = srv.submit(req).expect("admitted");
-    srv.run_until_drained().expect("drained");
-    srv.take_output(&handle).expect("finished").steps
+    let (mut solo, h) = engine_with(ServeConfig::new(1, 1), ProfileConfig::disabled());
+    let ticket = solo.try_submit(h, req).expect("admitted");
+    solo.run_until_drained().expect("drained");
+    solo.take_output(&ticket).expect("finished").steps
 }
 
 /// A kernel panic inside a batch group quarantines the group with a

@@ -352,7 +352,7 @@ fn cpu_session_runs_fused_kernels() {
     assert!(metrics::allclose(&y, &oracle, 1e-4, 1e-4));
     assert!(out.us() > 0.0);
 
-    // Batched decode attention through the facade: the CPU backend's
+    // Batched decode attention through the session's backend: the CPU backend's
     // fused batch kernel vs its own per-query path.
     let kd = synth::kv_stream(320, 64, 0.8, 4);
     let vd = synth::kv_stream(320, 64, 0.8, 5);
@@ -361,7 +361,8 @@ fn cpu_session_runs_fused_kernels() {
     let (kv_plan, _) = session.best_kv_plan(&session.attention_op(320, 2)).unwrap();
     let qs = vq_llm::tensor::Tensor2D::from_fn(2, 64, |b, d| ((b * 7 + d) as f32 * 0.21).sin());
     let (batch_out, _) = session
-        .run_attention_batch(&kv_plan, &qs, &kq, &vq)
+        .backend()
+        .run_attention_batch(session.gpu(), &kv_plan, &qs, &kq, &vq)
         .unwrap();
     assert_eq!(batch_out.shape(), (2, 64));
     for b in 0..2 {

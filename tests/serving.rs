@@ -1,6 +1,6 @@
 //! Deterministic scheduler harness for the serving layer.
 //!
-//! The `Server` is a synchronous state machine — no threads, no clocks —
+//! The `Engine` is a synchronous state machine — no threads, no clocks —
 //! so these tests single-step it and assert exact scheduling behaviour:
 //!
 //! * continuous batch re-formation (a request finishing mid-decode frees a
@@ -8,21 +8,21 @@
 //! * explicit admission rejection at the configured limits — nothing is
 //!   ever dropped silently;
 //! * **bitwise parity**: a request decoded inside a full, ragged batch
-//!   produces exactly the bytes it produces running alone through
-//!   `Session::run_attention_ragged` / `Session::run_attention_batch`
-//!   with batch = 1 and the server's own canonical plans;
+//!   produces exactly the bytes it produces running alone through the
+//!   backend's batched attention and `Session::run_gemm` with batch = 1
+//!   and the engine's own canonical plans;
 //! * a property: random arrival/length schedules (seeded, no wall-clock)
 //!   always terminate, never exceed `max_batch`, and account for every
 //!   submission as completed or rejected.
 
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use vq_llm::llm::accuracy::{project_kv_accuracy, FP16_ACCURACY};
 use vq_llm::llm::LlmError;
 use vq_llm::tensor::{synth, Tensor2D};
 use vq_llm::{
     ContextHandle, DecodeRequest, Engine, KvQuantMode, ProfileConfig, RejectReason, RequestStatus,
-    ServeConfig, Server, Session, SharedContext, VqAlgorithm,
+    ServeConfig, Session, SharedContext, VqAlgorithm, VqLlmError,
 };
 
 const SEQ: usize = 320;
@@ -71,30 +71,41 @@ fn harness() -> &'static (Session, SharedContext, SharedContext) {
     })
 }
 
-fn server(max_batch: usize, max_queue: usize) -> Server {
-    let (session, ctx, _) = harness();
-    session
-        .serve(ctx.clone(), ServeConfig::new(max_batch, max_queue))
-        .expect("valid server")
+/// An engine on the harness session's backend with no context registered
+/// yet (fresh plan cache per call, so stats assertions don't race other
+/// tests).
+fn engine(serve: ServeConfig, profile: ProfileConfig) -> Engine {
+    let (session, _, _) = harness();
+    Engine::builder()
+        .backend(Arc::clone(session.backend()))
+        .weight_algo(VqAlgorithm::Gptvq2)
+        .kv_algo(VqAlgorithm::Cq4)
+        .serve_config(serve)
+        .profile_config(profile)
+        .build()
+        .expect("valid engine")
 }
 
-/// An engine over both harness contexts (fresh plan cache per call so
-/// stats assertions don't race other tests), sharing the harness
-/// session's backend.
+/// An engine over harness context A alone, planned from the synthetic
+/// default profiles with feedback off.
+fn one_ctx_engine(max_batch: usize, max_queue: usize) -> (Engine, ContextHandle) {
+    let (_, ctx, _) = harness();
+    let mut engine = engine(
+        ServeConfig::new(max_batch, max_queue),
+        ProfileConfig::disabled(),
+    );
+    let h = engine.register_context(ctx.clone()).expect("register");
+    (engine, h)
+}
+
+/// An engine over both harness contexts.
 fn two_ctx_engine(
     max_batch: usize,
     max_queue: usize,
     profile: ProfileConfig,
 ) -> (Engine, ContextHandle, ContextHandle) {
-    let (session, ctx_a, ctx_b) = harness();
-    let mut engine = Engine::builder()
-        .backend(std::sync::Arc::clone(session.backend()))
-        .weight_algo(VqAlgorithm::Gptvq2)
-        .kv_algo(VqAlgorithm::Cq4)
-        .serve_config(ServeConfig::new(max_batch, max_queue))
-        .profile_config(profile)
-        .build()
-        .expect("valid engine");
+    let (_, ctx_a, ctx_b) = harness();
+    let mut engine = engine(ServeConfig::new(max_batch, max_queue), profile);
     let ha = engine.register_context(ctx_a.clone()).expect("register A");
     let hb = engine.register_context(ctx_b.clone()).expect("register B");
     (engine, ha, hb)
@@ -112,60 +123,64 @@ fn query_b(tenant: u64) -> Vec<f32> {
         .collect()
 }
 
-/// Drains one request alone through the single-context `Session::serve`
-/// facade (its own canonical plans, batch of one) and returns its decoded
-/// steps — the solo reference the engine's mixed-context batches must
-/// reproduce bitwise.
+/// Drains one request alone through a one-context engine at batch 1
+/// (synthetic default plans, feedback off) and returns its decoded steps —
+/// the solo reference the engine's mixed-context batches must reproduce
+/// bitwise.
 fn solo_reference(ctx: &SharedContext, req: DecodeRequest) -> Vec<Vec<f32>> {
-    let (session, _, _) = harness();
-    let mut srv = session
-        .serve(ctx.clone(), ServeConfig::new(1, 1))
-        .expect("solo server");
-    let handle = srv.submit(req).expect("admitted");
-    srv.run_until_drained().expect("drained");
-    srv.take_output(&handle).expect("finished").steps
+    let mut solo = engine(ServeConfig::new(1, 1), ProfileConfig::disabled());
+    let h = solo.register_context(ctx.clone()).expect("register");
+    let ticket = solo.try_submit(h, req).expect("admitted");
+    solo.run_until_drained().expect("drained");
+    solo.take_output(&ticket).expect("finished").steps
 }
 
 #[test]
 fn finishing_request_frees_a_slot_a_queued_request_takes() {
-    let mut srv = server(2, 8);
-    let a = srv.submit(DecodeRequest::new(1, query(1), 40, 2)).unwrap();
-    let b = srv.submit(DecodeRequest::new(2, query(2), 60, 5)).unwrap();
-    let c = srv.submit(DecodeRequest::new(3, query(3), 25, 3)).unwrap();
-    assert_eq!(srv.status(&a), RequestStatus::Queued);
+    let (mut engine, ch) = one_ctx_engine(2, 8);
+    let a = engine
+        .try_submit(ch, DecodeRequest::new(1, query(1), 40, 2))
+        .unwrap();
+    let b = engine
+        .try_submit(ch, DecodeRequest::new(2, query(2), 60, 5))
+        .unwrap();
+    let c = engine
+        .try_submit(ch, DecodeRequest::new(3, query(3), 25, 3))
+        .unwrap();
+    assert_eq!(engine.poll(&a), RequestStatus::Queued);
 
     // Step 0: a and b take the two slots; c waits.
-    let r0 = srv.step().unwrap();
+    let r0 = engine.step().unwrap();
     assert_eq!(r0.batch, 2);
     assert_eq!(r0.admitted, vec![a.id(), b.id()]);
     assert_eq!(r0.queued, 1);
-    assert_eq!(srv.status(&a), RequestStatus::Running);
-    assert_eq!(srv.status(&c), RequestStatus::Queued);
+    assert_eq!(engine.poll(&a), RequestStatus::Running);
+    assert_eq!(engine.poll(&c), RequestStatus::Queued);
 
     // Step 1: a decodes its last token and leaves mid-drain.
-    let r1 = srv.step().unwrap();
+    let r1 = engine.step().unwrap();
     assert_eq!(r1.batch, 2);
     assert_eq!(r1.finished, vec![a.id()]);
-    assert_eq!(srv.status(&a), RequestStatus::Finished { tokens: 2 });
+    assert_eq!(engine.poll(&a), RequestStatus::Finished { tokens: 2 });
 
     // Step 2: the freed slot goes to c — the batch is re-formed, not
     // drained to empty first.
-    let r2 = srv.step().unwrap();
+    let r2 = engine.step().unwrap();
     assert_eq!(r2.admitted, vec![c.id()]);
     assert_eq!(r2.batch, 2);
     assert_eq!(r2.queued, 0);
 
-    let rest = srv.run_until_drained().unwrap();
+    let rest = engine.run_until_drained().unwrap();
     assert!(rest.iter().all(|r| r.batch <= 2));
-    assert!(srv.is_idle());
+    assert!(engine.is_idle());
     for (h, gen) in [(a, 2usize), (b, 5), (c, 3)] {
-        assert_eq!(srv.status(&h), RequestStatus::Finished { tokens: gen });
-        let out = srv.take_output(&h).expect("output ready");
+        assert_eq!(engine.poll(&h), RequestStatus::Finished { tokens: gen });
+        let out = engine.take_output(&h).expect("output ready");
         assert_eq!(out.steps.len(), gen);
         assert!(out.steps.iter().all(|s| s.len() == HEAD_DIM));
-        assert_eq!(srv.status(&h), RequestStatus::Unknown, "collected");
+        assert_eq!(engine.poll(&h), RequestStatus::Unknown, "collected");
     }
-    let stats = srv.stats();
+    let stats = engine.stats();
     assert_eq!(stats.submitted, 3);
     assert_eq!(stats.completed, 3);
     assert_eq!(stats.rejected, 0);
@@ -175,59 +190,70 @@ fn finishing_request_frees_a_slot_a_queued_request_takes() {
 
 #[test]
 fn admission_limits_reject_explicitly() {
-    let mut srv = server(1, 2);
-    srv.submit(DecodeRequest::new(1, query(1), 10, 2)).unwrap();
-    srv.submit(DecodeRequest::new(2, query(2), 10, 2)).unwrap();
+    let (mut engine, ch) = one_ctx_engine(1, 2);
+    engine
+        .try_submit(ch, DecodeRequest::new(1, query(1), 10, 2))
+        .unwrap();
+    engine
+        .try_submit(ch, DecodeRequest::new(2, query(2), 10, 2))
+        .unwrap();
     // Queue full: the third submission is refused, not silently dropped.
-    let err = srv
-        .submit(DecodeRequest::new(3, query(3), 10, 2))
+    let err = engine
+        .try_submit(ch, DecodeRequest::new(3, query(3), 10, 2))
         .unwrap_err();
-    assert!(matches!(err, LlmError::QueueFull { max_queue: 2 }), "{err}");
+    assert!(
+        matches!(
+            err,
+            VqLlmError::Pipeline(LlmError::QueueFull { max_queue: 2 })
+        ),
+        "{err}"
+    );
 
     // Malformed / unservable requests are rejected up front with a reason.
-    let wrong_width = srv.submit(DecodeRequest::new(4, vec![0.0; 3], 10, 2));
+    let wrong_width = engine.try_submit(ch, DecodeRequest::new(4, vec![0.0; 3], 10, 2));
     assert!(matches!(
         wrong_width.unwrap_err(),
-        LlmError::InvalidRequest { .. }
+        VqLlmError::Pipeline(LlmError::InvalidRequest { .. })
     ));
-    let zero_tokens = srv.submit(DecodeRequest::new(5, query(5), 10, 0));
+    let zero_tokens = engine.try_submit(ch, DecodeRequest::new(5, query(5), 10, 0));
     assert!(matches!(
         zero_tokens.unwrap_err(),
-        LlmError::InvalidRequest { .. }
+        VqLlmError::Pipeline(LlmError::InvalidRequest { .. })
     ));
-    let past_context = srv.submit(DecodeRequest::new(6, query(6), SEQ, 2));
+    let past_context = engine.try_submit(ch, DecodeRequest::new(6, query(6), SEQ, 2));
     assert!(matches!(
         past_context.unwrap_err(),
-        LlmError::InvalidRequest { .. }
+        VqLlmError::Pipeline(LlmError::InvalidRequest { .. })
     ));
     // Regression: an absurd token budget must reject, not wrap the
     // admission arithmetic around usize and sneak in.
-    let overflow = srv.submit(DecodeRequest::new(7, query(7), 100, usize::MAX - 49));
+    let overflow = engine.try_submit(ch, DecodeRequest::new(7, query(7), 100, usize::MAX - 49));
     assert!(matches!(
         overflow.unwrap_err(),
-        LlmError::InvalidRequest { .. }
+        VqLlmError::Pipeline(LlmError::InvalidRequest { .. })
     ));
 
-    let stats = srv.stats();
+    let stats = engine.stats();
     assert_eq!(stats.submitted, 2);
     assert_eq!(stats.rejected, 5);
     // The accepted work still completes.
-    srv.run_until_drained().unwrap();
-    assert_eq!(srv.stats().completed, 2);
+    engine.run_until_drained().unwrap();
+    assert_eq!(engine.stats().completed, 2);
 }
 
 /// The tentpole guarantee: scheduling is numerically invisible. Every
 /// request decoded in a co-scheduled ragged batch produces bitwise the
 /// same bytes as the same request run alone, one step at a time, through
-/// the session's batch-of-one entry points with the server's own plans.
+/// the backend's batch-of-one attention and the session's GeMM with the
+/// engine's own plans.
 #[test]
 fn scheduled_decode_is_bitwise_identical_to_solo_runs() {
     let (session, ctx, _) = harness();
-    let mut srv = server(3, 8);
+    let (mut engine, ch) = one_ctx_engine(3, 8);
     // Varied context positions and lengths force genuinely ragged batches
     // and mid-decode re-formation. The last request attends the *full*
     // context, so its solo reference can go through the plain (non-ragged)
-    // `Session::run_attention_batch` with batch = 1.
+    // `Backend::run_attention_batch` with batch = 1.
     let specs: [(u64, usize, usize); 5] = [
         (1, 30, 4),
         (2, 200, 2),
@@ -238,11 +264,12 @@ fn scheduled_decode_is_bitwise_identical_to_solo_runs() {
     let handles: Vec<_> = specs
         .iter()
         .map(|&(t, ctx_len, gen)| {
-            srv.submit(DecodeRequest::new(t, query(t), ctx_len, gen))
+            engine
+                .try_submit(ch, DecodeRequest::new(t, query(t), ctx_len, gen))
                 .unwrap()
         })
         .collect();
-    let reports = srv.run_until_drained().unwrap();
+    let reports = engine.run_until_drained().unwrap();
     assert!(reports.iter().any(|r| r.batch == 3), "batching happened");
     assert!(
         reports.iter().any(|r| !r.finished.is_empty() && r.queued > 0
@@ -250,10 +277,11 @@ fn scheduled_decode_is_bitwise_identical_to_solo_runs() {
         "re-formation happened"
     );
 
-    let attn_plan = srv.attention_plan().clone();
-    let linear_plan = srv.linear_plan().clone();
+    let attn_plan = engine.attention_plan(ch).unwrap().clone();
+    let linear_plan = engine.linear_plan(ch).unwrap().clone();
+    let (backend, gpu) = (session.backend(), session.gpu());
     for (&(t, ctx_len, gen), handle) in specs.iter().zip(&handles) {
-        let out = srv.take_output(handle).expect("completed");
+        let out = engine.take_output(handle).expect("completed");
         assert_eq!(out.tenant, t);
         assert_eq!(out.steps.len(), gen);
         // Solo re-run: same plans, batch of one.
@@ -264,12 +292,12 @@ fn scheduled_decode_is_bitwise_identical_to_solo_runs() {
             let (attn, _) = if len == SEQ {
                 // Full-length tenants go through the plain batched entry
                 // point — raggedness at len == seq is the same arithmetic.
-                session
-                    .run_attention_batch(&attn_plan, &qs, ctx.kq(), ctx.vq())
+                backend
+                    .run_attention_batch(gpu, &attn_plan, &qs, ctx.kq(), ctx.vq())
                     .unwrap()
             } else {
-                session
-                    .run_attention_ragged(&attn_plan, &qs, &[len], ctx.kq(), ctx.vq())
+                backend
+                    .run_attention_ragged(gpu, &attn_plan, &qs, &[len], ctx.kq(), ctx.vq())
                     .unwrap()
             };
             let (y, _) = session.run_gemm(&linear_plan, &attn, ctx.wq()).unwrap();
@@ -286,9 +314,9 @@ fn scheduled_decode_is_bitwise_identical_to_solo_runs() {
 // --- the multi-context engine ---
 
 /// The acceptance pin: a two-context `Engine` drain produces, per
-/// request, bytes identical to that request run alone on a
-/// single-context `Session::serve` facade — even though the engine plans
-/// from measured profiles and the solo servers from synthetic defaults
+/// request, bytes identical to that request drained alone on a
+/// one-context engine — even though the engine plans from measured
+/// profiles and the solo engines from synthetic defaults
 /// (host kernels are bitwise blocking-independent, pinned in
 /// `tests/host_backend.rs`).
 #[test]
@@ -333,7 +361,7 @@ fn two_context_engine_drain_is_bitwise_identical_to_solo_sessions() {
         let solo = solo_reference(ctx, req.clone());
         assert_eq!(
             out.steps, solo,
-            "tenant {}: engine mixed-context batch diverged from solo session",
+            "tenant {}: engine mixed-context batch diverged from solo drain",
             req.tenant
         );
         assert_eq!(engine.poll(handle), RequestStatus::Unknown, "collected");
@@ -399,7 +427,7 @@ fn engine_rejections_are_typed_and_polled() {
     assert!(
         matches!(
             err,
-            vq_llm::VqLlmError::Pipeline(LlmError::UnknownContext { id: 0 })
+            VqLlmError::Pipeline(LlmError::UnknownContext { id: 0 })
         ),
         "{err}"
     );
@@ -556,7 +584,7 @@ proptest! {
         max_queue in 0usize..5,
         n_requests in 1usize..11,
     ) {
-        let mut srv = server(max_batch, max_queue);
+        let (mut engine, ch) = one_ctx_engine(max_batch, max_queue);
         // Arrival step, context position, and length all derived from the
         // seed — no wall-clock anywhere.
         let mut arrivals: Vec<(u64, DecodeRequest)> = (0..n_requests)
@@ -578,34 +606,34 @@ proptest! {
         // Hard bound: every submitted token is decoded once, plus one
         // idle poll per arrival gap. Anything past this is a livelock.
         let bound = 64 + 6 * n_requests as u64;
-        while next < arrivals.len() || !srv.is_idle() {
+        while next < arrivals.len() || !engine.is_idle() {
             prop_assert!(ticks < bound, "scheduler did not terminate");
             while next < arrivals.len() && arrivals[next].0 <= ticks {
                 let req = arrivals[next].1.clone();
                 let gen = req.gen_tokens;
-                match srv.submit(req) {
+                match engine.try_submit(ch, req) {
                     Ok(h) => {
                         accepted.push((h, gen));
                         expected_tokens += gen;
                     }
-                    Err(LlmError::QueueFull { .. }) => rejected += 1,
+                    Err(VqLlmError::Pipeline(LlmError::QueueFull { .. })) => rejected += 1,
                     Err(e) => prop_assert!(false, "unexpected rejection: {e}"),
                 }
                 next += 1;
             }
-            let report = srv.step().unwrap();
+            let report = engine.step().unwrap();
             prop_assert!(report.batch <= max_batch, "batch over limit");
             ticks += 1;
         }
 
-        let stats = srv.stats();
+        let stats = engine.stats();
         prop_assert_eq!(stats.submitted + stats.rejected, n_requests as u64);
         prop_assert_eq!(stats.rejected, rejected);
         prop_assert_eq!(stats.completed, accepted.len() as u64);
         prop_assert_eq!(stats.decoded_tokens as usize, expected_tokens);
         for (h, gen) in accepted {
-            prop_assert_eq!(srv.status(&h), RequestStatus::Finished { tokens: gen });
-            let out = srv.take_output(&h).expect("completed output");
+            prop_assert_eq!(engine.poll(&h), RequestStatus::Finished { tokens: gen });
+            let out = engine.take_output(&h).expect("completed output");
             prop_assert_eq!(out.steps.len(), gen);
         }
     }
@@ -614,8 +642,8 @@ proptest! {
     /// engine-wide slots never exceed `max_batch`, at most one kernel
     /// group per registered context per step, every request finishes or
     /// is explicitly rejected, and every finished request is **bitwise**
-    /// identical to the same request drained alone on a single-context
-    /// `Session::serve` facade.
+    /// identical to the same request drained alone on a one-context
+    /// engine.
     #[test]
     fn random_multi_context_schedules_are_sound_and_solo_exact(
         seed in 0u64..10_000,
@@ -696,22 +724,14 @@ proptest! {
 // --- online KV-cache vector quantization ---
 
 /// An engine over harness context A with live-KV mode `mode` and an
-/// optional compressed-byte budget (fresh plan cache per call, shared
-/// backend — same pattern as [`two_ctx_engine`]).
+/// optional compressed-byte budget.
 fn live_engine(mode: KvQuantMode, budget: Option<usize>) -> (Engine, ContextHandle) {
-    let (session, ctx_a, _) = harness();
+    let (_, ctx_a, _) = harness();
     let mut cfg = ServeConfig::new(4, 16).with_kv_quant(mode);
     if let Some(b) = budget {
         cfg = cfg.with_kv_budget(b);
     }
-    let mut engine = Engine::builder()
-        .backend(std::sync::Arc::clone(session.backend()))
-        .weight_algo(VqAlgorithm::Gptvq2)
-        .kv_algo(VqAlgorithm::Cq4)
-        .serve_config(cfg)
-        .profile_config(ProfileConfig::disabled())
-        .build()
-        .expect("valid engine");
+    let mut engine = engine(cfg, ProfileConfig::disabled());
     let h = engine.register_context(ctx_a.clone()).expect("register");
     (engine, h)
 }
@@ -810,7 +830,7 @@ fn kv_byte_budget_rejects_at_admission_and_quarantines_midflight() {
     assert!(
         matches!(
             err,
-            vq_llm::VqLlmError::Pipeline(LlmError::KvCapacity { limit, .. })
+            VqLlmError::Pipeline(LlmError::KvCapacity { limit, .. })
                 if limit == projected - 1
         ),
         "{err}"
@@ -926,58 +946,55 @@ fn profile_shift_replan_does_not_change_emitted_bytes() {
     }
 }
 
-/// The warm-up dedupe satellite: sibling servers over one shared plan
-/// cache plan nothing new — the second construction is pure cache hits,
-/// and the canonical plans are pointer-equal across siblings.
+/// Registration warms through the shared plan cache: of two engines over
+/// one `PlanCache`, the second plans nothing new — its registration is
+/// pure cache hits, and the canonical plans are pointer-equal across the
+/// siblings.
 #[test]
 fn sibling_servers_warm_from_the_shared_cache() {
     let (_, ctx, _) = harness();
-    let cache = std::sync::Arc::new(vq_llm::PlanCache::new());
-    let session = Session::builder()
-        .weight_algo(VqAlgorithm::Gptvq2)
-        .kv_algo(VqAlgorithm::Cq4)
-        .plan_cache(std::sync::Arc::clone(&cache))
-        .build()
-        .expect("valid session");
-    let srv1 = session
-        .serve(ctx.clone(), ServeConfig::new(2, 2))
-        .expect("server");
+    let cache = Arc::new(vq_llm::PlanCache::new());
+    let sibling = |serve: ServeConfig, profile: ProfileConfig| {
+        let mut engine = Engine::builder()
+            .weight_algo(VqAlgorithm::Gptvq2)
+            .kv_algo(VqAlgorithm::Cq4)
+            .plan_cache(Arc::clone(&cache))
+            .serve_config(serve)
+            .profile_config(profile)
+            .build()
+            .expect("engine");
+        let h = engine.register_context(ctx.clone()).expect("register");
+        (engine, h)
+    };
+    let (first, h1) = sibling(ServeConfig::new(2, 2), ProfileConfig::disabled());
     let after_first = cache.stats();
     assert_eq!(after_first.misses, 2, "one miss per canonical shape");
 
-    let srv2 = session
-        .serve(ctx.clone(), ServeConfig::new(4, 8))
-        .expect("server");
+    let (second, h2) = sibling(ServeConfig::new(4, 8), ProfileConfig::disabled());
     let after_second = cache.stats();
     assert_eq!(
         after_second.misses, after_first.misses,
-        "sibling construction re-planned a canonical shape"
+        "sibling registration re-planned a canonical shape"
     );
     assert_eq!(after_second.hits, after_first.hits + 2);
-    assert!(std::sync::Arc::ptr_eq(
-        srv1.attention_plan(),
-        srv2.attention_plan()
+    assert!(Arc::ptr_eq(
+        first.attention_plan(h1).unwrap(),
+        second.attention_plan(h2).unwrap()
     ));
-    assert!(std::sync::Arc::ptr_eq(
-        srv1.linear_plan(),
-        srv2.linear_plan()
+    assert!(Arc::ptr_eq(
+        first.linear_plan(h1).unwrap(),
+        second.linear_plan(h2).unwrap()
     ));
 
-    // The engine warms through the same helper and the same cache — but
-    // under *measured* keys, so it adds exactly its own two entries and
-    // afterwards an identical registration is also a pure hit.
-    let mut engine = Engine::builder()
-        .weight_algo(VqAlgorithm::Gptvq2)
-        .kv_algo(VqAlgorithm::Cq4)
-        .plan_cache(std::sync::Arc::clone(&cache))
-        .build()
-        .expect("engine");
-    engine.register_context(ctx.clone()).expect("register");
-    let after_engine = cache.stats();
-    assert_eq!(after_engine.misses, after_second.misses + 2);
-    engine
+    // Profile feedback plans under *measured* keys, so such an engine
+    // adds exactly its own two entries, and afterwards an identical
+    // registration is also a pure hit.
+    let (mut measured, _) = sibling(ServeConfig::default(), ProfileConfig::default());
+    let after_measured = cache.stats();
+    assert_eq!(after_measured.misses, after_second.misses + 2);
+    measured
         .register_context(ctx.clone())
         .expect("register again");
-    assert_eq!(engine.cache_stats().misses, after_engine.misses);
-    assert!(engine.cache_stats().hits > after_engine.hits);
+    assert_eq!(measured.cache_stats().misses, after_measured.misses);
+    assert!(measured.cache_stats().hits > after_measured.hits);
 }

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 use vq_llm::core::{KernelPlanner, ProfileSummary};
 use vq_llm::{
-    ComputeOp, GpuSpec, OptLevel, PlanCache, QuantScheme, Session, VqAlgorithm, VqLlmError,
+    ComputeOp, Engine, GpuSpec, OptLevel, PlanCache, QuantScheme, Session, VqAlgorithm, VqLlmError,
 };
 
 fn session() -> Session {
@@ -57,6 +57,57 @@ fn builder_rejects_degenerate_gpu() {
         matches!(err, VqLlmError::InvalidSession { what: "gpu", .. }),
         "{err}"
     );
+}
+
+/// One validator behind both builders: every invalid configuration is
+/// refused by `Session::builder()` and `Engine::builder()` alike, with the
+/// same `InvalidSession { what }`. A device needs SMs, and a bandwidth
+/// and clock that are finite and positive (a zero clock would make every
+/// modeled latency infinite).
+#[test]
+fn both_builders_reject_the_same_invalid_configurations() {
+    let check = |case: &str, weight: VqAlgorithm, kv: VqAlgorithm, gpu: GpuSpec, want: &str| {
+        let session = Session::builder()
+            .weight_algo(weight)
+            .kv_algo(kv)
+            .gpu(gpu.clone())
+            .build()
+            .map(drop);
+        let engine = Engine::builder()
+            .weight_algo(weight)
+            .kv_algo(kv)
+            .gpu(gpu)
+            .build()
+            .map(drop);
+        for (builder, result) in [("Session", session), ("Engine", engine)] {
+            match result {
+                Err(VqLlmError::InvalidSession { what, .. }) => {
+                    assert_eq!(what, want, "{builder}::builder(), {case}")
+                }
+                other => panic!("{builder}::builder(), {case}: accepted or wrong error {other:?}"),
+            }
+        }
+    };
+    let (w, kv) = (VqAlgorithm::QuipSharp4, VqAlgorithm::Cq4);
+    for (weight, kv, want) in [
+        (VqAlgorithm::Cq4, kv, "weight_algo"),
+        (w, VqAlgorithm::Aqlm3, "kv_algo"),
+    ] {
+        check("swapped algorithms", weight, kv, GpuSpec::rtx4090(), want);
+    }
+    let dev = |edit: fn(&mut GpuSpec)| {
+        let mut gpu = GpuSpec::rtx4090();
+        edit(&mut gpu);
+        gpu
+    };
+    for (case, gpu) in [
+        ("no SMs", dev(|g| g.num_sms = 0)),
+        ("NaN bandwidth", dev(|g| g.dram_bw_gbps = f64::NAN)),
+        ("zero clock", dev(|g| g.clock_ghz = 0.0)),
+        ("NaN clock", dev(|g| g.clock_ghz = f64::NAN)),
+    ] {
+        check(case, w, kv, gpu, "gpu");
+    }
 }
 
 #[test]
@@ -261,53 +312,15 @@ fn small_context(session: &Session) -> vq_llm::SharedContext {
 
 #[test]
 fn engine_sessions_are_views_over_the_engine_state() {
-    let mut engine = vq_llm::Engine::builder()
+    let engine = Engine::builder()
         .weight_algo(VqAlgorithm::Gptvq2)
         .kv_algo(VqAlgorithm::Cq4)
         .build()
         .unwrap();
-    let unbound = engine.session_unbound();
-    assert!(unbound.context_handle().is_none());
     assert!(
-        Arc::ptr_eq(engine.plan_cache(), unbound.plan_cache()),
-        "session views share the engine's plan cache"
+        Arc::ptr_eq(engine.plan_cache(), engine.session().plan_cache()),
+        "engine sessions share the engine's plan cache"
     );
-
-    let ctx = small_context(&unbound);
-    let handle = engine.register_context(ctx.clone()).unwrap();
-    let bound = engine.session(handle).unwrap();
-    assert_eq!(bound.context_handle(), Some(handle));
-    assert_eq!(
-        bound.bound_context().unwrap().seq(),
-        ctx.seq(),
-        "bound session sees the registered context"
-    );
-    // The bound view serves its context without re-passing it…
-    let mut srv = bound
-        .serve_bound(vq_llm::ServeConfig::new(2, 4))
-        .expect("serve_bound");
-    let q: Vec<f32> = (0..32).map(|d| (d as f32 * 0.2).sin()).collect();
-    let h = srv.submit(vq_llm::DecodeRequest::new(1, q, 10, 2)).unwrap();
-    srv.run_until_drained().unwrap();
-    assert_eq!(srv.take_output(&h).unwrap().steps.len(), 2);
-    // …while an unbound view refuses.
-    let err = unbound
-        .serve_bound(vq_llm::ServeConfig::default())
-        .unwrap_err();
-    assert!(
-        matches!(
-            err,
-            VqLlmError::InvalidSession {
-                what: "context",
-                ..
-            }
-        ),
-        "{err}"
-    );
-    // Unknown handles are typed errors, not panics.
-    drop(bound);
-    let other = vq_llm::Engine::builder().build().unwrap();
-    assert!(other.session(handle).is_err());
 }
 
 #[test]
@@ -319,13 +332,13 @@ fn plan_cache_path_round_trips_the_warm_start() {
     let _ = std::fs::remove_file(&path);
 
     // Engine 1: cold start — registration plans both canonical shapes.
-    let mut cold = vq_llm::Engine::builder()
+    let mut cold = Engine::builder()
         .weight_algo(VqAlgorithm::Gptvq2)
         .kv_algo(VqAlgorithm::Cq4)
         .plan_cache_path(&path)
         .build()
         .unwrap();
-    let ctx = small_context(&cold.session_unbound());
+    let ctx = small_context(&cold.session());
     let hc = cold.register_context(ctx.clone()).unwrap();
     let cold_stats = cold.cache_stats();
     assert_eq!(cold_stats.misses, 2, "cold registration plans twice");
@@ -335,7 +348,7 @@ fn plan_cache_path_round_trips_the_warm_start() {
     // Engine 2: same path — registration of the same context re-measures
     // the same profiles, builds the same keys, and planning is pure cache
     // hits: the cold-start pass is skipped.
-    let mut warm = vq_llm::Engine::builder()
+    let mut warm = Engine::builder()
         .weight_algo(VqAlgorithm::Gptvq2)
         .kv_algo(VqAlgorithm::Cq4)
         .plan_cache_path(&path)
@@ -359,7 +372,7 @@ fn plan_cache_path_round_trips_the_warm_start() {
     let _ = std::fs::remove_file(&path);
 
     // Error paths are typed: saving with no configured path…
-    let unconfigured = vq_llm::Engine::builder().build().unwrap();
+    let unconfigured = Engine::builder().build().unwrap();
     assert!(matches!(
         unconfigured.save_plan_cache().unwrap_err(),
         VqLlmError::Persistence { .. }
@@ -370,7 +383,7 @@ fn plan_cache_path_round_trips_the_warm_start() {
         std::process::id()
     ));
     std::fs::write(&corrupt, "not a plan cache\n").unwrap();
-    let err = vq_llm::Engine::builder()
+    let err = Engine::builder()
         .plan_cache_path(&corrupt)
         .build()
         .unwrap_err();
